@@ -1,8 +1,6 @@
 #include "analysis/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -308,16 +306,6 @@ RunResult run_protocol(const data::Workload& base_workload, const RunConfig& con
       }
     }
     engine.run_cycle();
-  }
-
-  // Per-layer footprint attribution for the perf docs' "Memory map"
-  // (capacity accounting, not RSS — see Engine::memory_stats), emitted
-  // through the unified obs::Snapshot reporting path.
-  if (std::getenv("WHATSUP_MEM_STATS") != nullptr) {
-    obs::Snapshot snap;
-    snap.absorb(engine);
-    snap.absorb(tracker);
-    snap.write_text(stderr, "[mem_stats]");
   }
 
   // ---- Collect results ----

@@ -55,12 +55,12 @@ class ClusteringProtocol {
   View view_;
   Metric metric_;
   Cycle period_;
-  // Hot-path caches (perf only — see docs/perf.md): outgoing descriptors
+  // Hot-path cache (perf only — see docs/perf.md): outgoing descriptors
   // reuse one immutable snapshot until the disclosed profile's version
-  // changes, and view merges / convergence probes only rescore descriptors
-  // whose profile (or whose subject profile) actually changed.
+  // changes. View merges and convergence probes score every descriptor
+  // afresh: a score memo hit ~11% of lookups and cost more than it saved
+  // (docs/perf.md, "The similarity memo, removed").
   mutable ProfileSnapshotCache snapshot_cache_;
-  mutable SimilarityMemo memo_;
 };
 
 }  // namespace whatsup::gossip

@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "net/message.hpp"
 #include "profile/similarity.hpp"
-#include "profile/snapshot.hpp"
 
 namespace whatsup::gossip {
 
@@ -66,10 +65,9 @@ class View {
   // `own_profile` under `metric`; ties broken uniformly at random
   // (WUP merge policy). Selection is top-K (nth_element + bounded sort)
   // rather than a full sort, with the same deterministic shuffle-based
-  // tie-breaking as a stable sort by descending score. When `memo` is
-  // non-null, unchanged (subject, candidate) pairs reuse memoized scores.
+  // tie-breaking as a stable sort by descending score.
   void assign_closest(std::vector<net::Descriptor> candidates, const Profile& own_profile,
-                      Metric metric, Rng& rng, SimilarityMemo* memo = nullptr);
+                      Metric metric, Rng& rng);
 
  private:
   std::size_t capacity_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -130,19 +131,6 @@ std::uint64_t Snapshot::value(std::string_view name) const {
 
 void Snapshot::write_json(std::ostream& out) const {
   write_metrics_object(out, *this);
-}
-
-void Snapshot::write_text(std::FILE* out, const char* prefix) const {
-  std::fputs(prefix, out);
-  for (const MetricValue& m : metrics) {
-    if (m.kind == Kind::kHistogram) {
-      std::fprintf(out, " %s.count=%" PRIu64 " %s.sum=%" PRIu64, m.name.c_str(),
-                   m.count, m.name.c_str(), m.sum);
-    } else {
-      std::fprintf(out, " %s=%" PRIu64, m.name.c_str(), m.value);
-    }
-  }
-  std::fputc('\n', out);
 }
 
 void write_stats_json(std::ostream& out, const std::vector<CycleSample>& series,

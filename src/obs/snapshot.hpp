@@ -4,8 +4,9 @@
 // stats registry plus the pre-existing one-off sources absorbed as gauges
 // (`Engine::memory_stats()`, `Tracker::resident_bytes()`, per-shard
 // `descriptor_pool` stats, `SnapshotArena::stats()`). Consumers — the
-// `--stats-json` writer, the WHATSUP_MEM_STATS dump, run_bench.sh's stats
-// summary — all read the same structure.
+// `--stats-json` writer (whose `final` object carries the `engine.mem.*`,
+// `engine.pool.*` and `tracker.*` memory gauges) and run_bench.sh's stats
+// summary — read the same structure.
 //
 // `RunOptions` carries the observability knobs through `RunConfig` into
 // `run_protocol`: a stderr heartbeat every N cycles and per-cycle registry
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -52,8 +52,6 @@ struct Snapshot {
 
   // {"metrics": {...}} — histograms as {count, sum, bounds, buckets}.
   void write_json(std::ostream& out) const;
-  // Single `prefix k=v k=v ...` line (the WHATSUP_MEM_STATS format).
-  void write_text(std::FILE* out, const char* prefix) const;
 };
 
 // One sampled point of the per-cycle time series.

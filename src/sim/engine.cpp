@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <variant>
@@ -18,13 +17,11 @@ namespace whatsup::sim {
 
 namespace {
 
-// Stream tags deriving the engine-level and per-node stream spaces from
-// the root seed.
-constexpr std::uint64_t kEngineStreamTag = 0x656e67696e65ULL;  // "engine"
-constexpr std::uint64_t kNodeStreamTag = 0x6e6f646573ULL;      // "nodes"
+// Stream tag deriving the per-node stream space from the root seed.
+constexpr std::uint64_t kNodeStreamTag = 0x6e6f646573ULL;  // "nodes"
 
 // Tag deriving the fault layer's stream space (burst chains, random
-// crashes) from the root seed — disjoint from the engine and node spaces.
+// crashes) from the root seed — disjoint from the node space.
 constexpr std::uint64_t kFaultStreamTag = 0x6661756c7473ULL;  // "faults"
 
 // Tag deriving the per-message network-draw stream space: each routed
@@ -175,7 +172,6 @@ void Context::send(net::Message message) {
 
 Engine::Engine(Config config) : config_(config) {
   Rng root(config_.seed);
-  rng_ = root.fork(kEngineStreamTag);
   stream_root_ = root.fork(kNodeStreamTag);
   fault_root_ = root.fork(kFaultStreamTag);
   net_root_ = root.fork(kNetStreamTag);
@@ -308,8 +304,6 @@ NodeId Engine::draw_active_excluding(Rng& rng, NodeId a, NodeId b) const {
   }
   return active_ids_[idx];
 }
-
-NodeId Engine::random_active(NodeId excluding) { return draw_active(rng_, excluding); }
 
 void Engine::crash(NodeId id, Cycle recover_at) {
   assert(!in_phase_.load(std::memory_order_relaxed) &&
@@ -449,16 +443,10 @@ void Engine::ensure_shards() {
   // that conflict misses stay off the scoring profile. Monotonic in the
   // node count, hence identical across thread counts and partitionings —
   // and a pure cache size either way, so it could never affect results.
-  // WHATSUP_SCRATCH_SLOTS overrides for footprint/throughput experiments.
   if (!agents_.empty()) {
-    std::size_t slots = 16 * agents_.size();
-    if (const char* env = std::getenv("WHATSUP_SCRATCH_SLOTS")) {
-      const long parsed = std::atol(env);
-      if (parsed > 0) slots = static_cast<std::size_t>(parsed);
-    }
     set_materialize_scratch_slots(std::min<std::size_t>(
         kMaxMaterializeScratchSlots,
-        std::max<std::size_t>(kMinMaterializeScratchSlots, slots)));
+        std::max<std::size_t>(kMinMaterializeScratchSlots, 16 * agents_.size())));
   }
 }
 

@@ -225,15 +225,8 @@ class Engine : public ParallelExecutor {
   std::size_t num_active() const { return num_active_; }
   // Ascending ids of the currently active nodes (maintained incrementally).
   const std::vector<NodeId>& active_ids() const { return active_ids_; }
-  // Uniformly random active node, excluding `excluding`; kNoNode if none.
-  // Closed-form draw over the active set (exactly uniform, one draw) from
-  // the engine-level stream; main-thread use only — agents should use
-  // Context::random_active_peer.
-  NodeId random_active(NodeId excluding = kNoNode);
 
   Cycle now() const { return now_; }
-  // Engine-level stream for global decisions (loss, latency, schedules).
-  Rng& rng() { return rng_; }
   // Reserved per-node reliability substream for the current cycle (see
   // Context::reliability_rng).
   Rng reliability_rng(NodeId id) const;
@@ -309,14 +302,14 @@ class Engine : public ParallelExecutor {
   void add_cycle_hook(CycleHook hook) { hooks_.push_back(std::move(hook)); }
 
   // Closed-form uniform draw over the active set minus `excluding`, using
-  // `rng`. Exposed for Context and tests.
+  // `rng` (exactly uniform, one draw); kNoNode if none. The engine keeps
+  // no stream of its own: main-thread callers pass theirs.
   NodeId draw_active(Rng& rng, NodeId excluding) const;
   // Same, minus both `a` and `b` (either may be kNoNode).
   NodeId draw_active_excluding(Rng& rng, NodeId a, NodeId b) const;
 
  private:
   Config config_;
-  Rng rng_;          // engine-level stream (global decisions)
   Rng stream_root_;  // pristine root for counter-based forks; never drawn
   Rng fault_root_;   // pristine root for the fault layer's counter forks
   Rng net_root_;     // pristine root for per-message network-draw forks

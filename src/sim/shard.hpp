@@ -11,7 +11,7 @@
 //    canonical order, so delivery order is a pure function of the seed.
 //  * `outbox` — messages sent by this shard's agents during the current
 //    phase. Committed at the barrier: the engine walks shards in ascending
-//    order, applying loss/latency (engine-level RNG stream) and routing
+//    order, applying loss/latency (per-message RNG streams) and routing
 //    into the destination shard's mailbox. The concatenation of outboxes
 //    in shard order IS the canonical (cycle, phase, sender, seq) order,
 //    because agents within a shard run in ascending id order.

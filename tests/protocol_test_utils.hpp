@@ -67,6 +67,8 @@ class ClusteringAgent : public sim::Agent {
   Rps& rps() { return rps_; }
   const View& rps_view() const { return rps_.view(); }
   const View& wup_view() const { return wup_.view(); }
+  const gossip::ClusteringProtocol& wup() const { return wup_; }
+  const Profile& profile() const { return profile_; }
 
  private:
   Profile profile_;

@@ -503,6 +503,9 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
   Rng seed_rng(79);
   for (int i = 0; i < kProfiles; ++i) {
     profiles.push_back(random_profile(seed_rng, 10, 64, false));
+    // Profiles shared across threads have their lazy norm warmed first
+    // (the same discipline as ItemProfileRef): encoding reads norm().
+    profiles.back().norm();
   }
   auto& arena = SnapshotArena::instance();
   std::atomic<bool> stop{false};

@@ -164,7 +164,7 @@ TEST(Determinism, ChurnIdenticalAcrossThreadCounts) {
 
 // Fault interactions: a regional partition with partial cross-loss,
 // Gilbert–Elliott bursty links, jitter, duplication and reordering all
-// active at once. Every fault draw comes from the engine stream in
+// active at once. Every fault draw comes from a per-message stream in
 // canonical commit order or from counter-based per-link chains, so the
 // combined trajectory must stay a pure function of the seed.
 TEST(Determinism, PartitionBurstJitterInteractionIdenticalAcrossThreadCounts) {

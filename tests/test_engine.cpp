@@ -133,12 +133,13 @@ TEST(Engine, RandomActiveRespectsExclusionsAndActivity) {
   Fixture fx;
   fx.engine.set_active(0, false);
   fx.engine.set_active(1, false);
+  Rng rng(7);
   for (int i = 0; i < 50; ++i) {
-    const NodeId pick = fx.engine.random_active(2);
+    const NodeId pick = fx.engine.draw_active(rng, 2);
     EXPECT_EQ(pick, 3u);
   }
   fx.engine.set_active(3, false);
-  EXPECT_EQ(fx.engine.random_active(2), kNoNode);
+  EXPECT_EQ(fx.engine.draw_active(rng, 2), kNoNode);
 }
 
 TEST(Engine, PublishInvokesSourceAgent) {

@@ -89,18 +89,53 @@ TEST(WupClustering, EmptyProfilesStillFillViews) {
   for (auto* agent : agents) EXPECT_EQ(agent->wup_view().size(), 4u);
 }
 
+// Mean over the view of similarity(metric, own, member), in view order —
+// the definition the Fig. 7 convergence probe must reproduce exactly.
+double direct_avg_similarity(const View& view, Metric metric, const Profile& own) {
+  if (view.empty()) return 0.0;
+  double total = 0.0;
+  for (const net::Descriptor& d : view.entries()) {
+    total += similarity(metric, own, d.profile_ref());
+  }
+  return total / static_cast<double>(view.size());
+}
+
+// Network-wide mean of every agent's convergence probe on its own profile.
+double mean_avg_similarity(const ClusterFixture& fx) {
+  double total = 0.0;
+  for (const auto* a : fx.agents) total += a->wup().avg_similarity(a->profile());
+  return total / static_cast<double>(fx.agents.size());
+}
+
 TEST(WupClustering, AvgSimilarityGrowsDuringConvergence) {
   ClusterFixture fx(60, 3, Metric::kWup);
   fx.engine.run_cycles(3);
-  const Profile probe = group_profile(fx.group_of[0]);
-  // Measure through an agent's own average (its profile is fixed).
-  double early = 0.0;
-  for (auto* a : fx.agents) early += a->wup_view().size();
+  const double early = mean_avg_similarity(fx);
   fx.engine.run_cycles(27);
-  double late_homophily = fx.homophily();
-  EXPECT_GT(late_homophily, 0.8);
-  (void)probe;
-  (void)early;
+  EXPECT_GT(fx.homophily(), 0.8);
+  EXPECT_GT(mean_avg_similarity(fx), early);
+}
+
+TEST(WupClustering, AvgSimilarityEqualsMeanOfDirectScores) {
+  for (const Metric metric : {Metric::kWup, Metric::kCosine}) {
+    ClusterFixture fx(30, 3, metric);
+    fx.engine.run_cycles(10);
+    for (const auto* a : fx.agents) {
+      ASSERT_FALSE(a->wup_view().empty());
+      // Probe with a copy of the subject profile, then mutate the copy
+      // between two calls: the second call must score the mutated profile.
+      Profile own = a->profile();
+      const double before = a->wup().avg_similarity(own);
+      EXPECT_EQ(before, direct_avg_similarity(a->wup_view(), metric, own));
+      for (const net::Descriptor& d : a->wup_view().entries()) {
+        const Profile& member = d.profile_ref();
+        if (member.size() > 0) own.set(member.entry(0).id, 1, 0.0);
+      }
+      const double after = a->wup().avg_similarity(own);
+      EXPECT_EQ(after, direct_avg_similarity(a->wup_view(), metric, own));
+      EXPECT_NE(after, before);
+    }
+  }
 }
 
 TEST(WupClustering, GossipTrafficTagged) {
