@@ -208,7 +208,7 @@ void run_macro(benchmark::State& state, std::size_t users, std::size_t items,
     config.collect_cycle_digests = true;  // workers ship digest series back
     for (auto _ : state) {
       const std::vector<std::uint64_t> digests = bench::run_partitioned(
-          partitions, [&](sim::Transport& transport) {
+          partitions, [&](sim::SocketTransport& transport) {
             analysis::RunConfig worker_config = config;
             worker_config.partitions = static_cast<int>(partitions);
             worker_config.transport = &transport;

@@ -15,6 +15,7 @@
 #include "gossip/view.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "graph/static_graph.hpp"
 #include "profile/item_profile.hpp"
 #include "profile/similarity.hpp"
 #include "profile/snapshot.hpp"
@@ -265,13 +266,17 @@ BENCHMARK(BM_MergeCandidates);
 void BM_LargestScc(benchmark::State& state) {
   Rng rng(6);
   const auto n = static_cast<std::size_t>(state.range(0));
-  graph::Digraph g(n);
   // Overlay-like digraph: 20 random out-edges per node.
+  graph::StaticGraph::Builder b(n);
+  for (NodeId v = 0; v < n; ++v) b.set_degree(v, 20);
+  b.finish_degrees();
   for (NodeId v = 0; v < n; ++v) {
     for (int e = 0; e < 20; ++e) {
-      g.add_edge(v, static_cast<NodeId>(rng.index(n)));
+      b.add_edge(v, static_cast<NodeId>(rng.index(n)));
     }
   }
+  b.dedupe_rows(0, static_cast<NodeId>(n));
+  const graph::StaticGraph g = b.build();
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::largest_scc_fraction(g));
   }

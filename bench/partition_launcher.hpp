@@ -65,13 +65,14 @@ inline void read_all(int fd, void* data, std::size_t size) {
 // fragments 1..partitions-1 in forked children — and returns the
 // element-wise sum (mod 2^64) of the digest series every worker returns.
 // All series must have equal length (they are per-cycle and the workers
-// run in lockstep). Throws if a worker exits abnormally.
+// run in lockstep). Throws std::invalid_argument for partitions < 2 (a
+// single-process run needs no launcher) and std::runtime_error if a worker
+// exits abnormally.
 inline std::vector<std::uint64_t> run_partitioned(
     std::size_t partitions,
-    const std::function<std::vector<std::uint64_t>(sim::Transport&)>& worker) {
+    const std::function<std::vector<std::uint64_t>(sim::SocketTransport&)>& worker) {
   if (partitions <= 1) {
-    sim::InProcessTransport transport;
-    return worker(transport);
+    throw std::invalid_argument("partition launcher: needs at least 2 partitions");
   }
   std::vector<std::vector<int>> mesh = sim::socketpair_mesh(partitions);
   std::vector<int> pipes(partitions, -1);  // parent's read end per child

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     }
     std::cout.flush();  // children inherit the stream buffer
     const std::vector<std::uint64_t> digests = bench::run_partitioned(
-        partitions, [&](sim::Transport& transport) {
+        partitions, [&](sim::SocketTransport& transport) {
           analysis::RunConfig worker_config = config;
           worker_config.partitions = static_cast<int>(partitions);
           worker_config.transport = &transport;

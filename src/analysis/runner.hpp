@@ -102,15 +102,15 @@ struct RunConfig {
   // Fragment partitioning (sim/transport.hpp). `partitions` is the
   // launcher-level knob (how many lockstep worker processes/threads to
   // run; 1 = the classic single-process engine); each worker passes its
-  // own connected Transport here. With a multi-fragment transport the run
-  // executes only the owned node fragment, and RunResult carries this
-  // worker's PARTIAL per-cycle digests (summing all workers' series mod
+  // own connected SocketTransport here. With a multi-fragment transport
+  // the run executes only the owned node fragment, and RunResult carries
+  // this worker's PARTIAL per-cycle digests (summing all workers' series mod
   // 2^64 yields the single-process series — Tracker::digest is
   // commutative) plus partial traffic; the agent-dereferencing collection
   // passes (scores, overlay, per-user reductions) are skipped. The
   // transport is not owned and must outlive the run.
   int partitions = 1;
-  sim::Transport* transport = nullptr;
+  sim::SocketTransport* transport = nullptr;
 
   // Observability (src/obs/): heartbeat + per-cycle registry sampling.
   // Pure telemetry — enabling any knob leaves fixed-seed trajectories

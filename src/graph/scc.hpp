@@ -1,13 +1,10 @@
-// Strongly connected components (iterative Tarjan). Used to reproduce
-// Fig. 4: the fraction of nodes in the largest SCC of the WUP overlay.
-// Overloads cover both graph representations: the adjacency-list Digraph
-// and the CSR StaticGraph the scale-out overlay collection builds.
+// Strongly connected components (iterative Tarjan) of the CSR overlay
+// digraph. Used to reproduce Fig. 4: the fraction of nodes in the largest
+// SCC of the WUP overlay.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "graph/digraph.hpp"
 
 namespace whatsup::graph {
 
@@ -19,11 +16,9 @@ struct SccResult {
   std::size_t largest = 0;     // size of the largest component
 };
 
-SccResult strongly_connected_components(const Digraph& g);
 SccResult strongly_connected_components(const StaticGraph& g);
 
 // |largest SCC| / |V| — 0 for the empty graph.
-double largest_scc_fraction(const Digraph& g);
 double largest_scc_fraction(const StaticGraph& g);
 
 }  // namespace whatsup::graph

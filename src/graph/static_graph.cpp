@@ -56,16 +56,4 @@ StaticGraph StaticGraph::Builder::build() {
   return g;
 }
 
-StaticGraph StaticGraph::from_digraph(const Digraph& g) {
-  const std::size_t n = g.num_nodes();
-  Builder b(n);
-  for (NodeId v = 0; v < n; ++v) b.set_degree(v, g.out(v).size());
-  b.finish_degrees();
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId w : g.out(v)) b.add_edge(v, w);
-  }
-  b.dedupe_rows(0, static_cast<NodeId>(n));
-  return b.build();
-}
-
 }  // namespace whatsup::graph

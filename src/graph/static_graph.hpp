@@ -1,14 +1,14 @@
 // Immutable CSR digraph for overlay analysis at scale.
 //
-// Digraph's vector<vector<NodeId>> costs one heap block plus vector header
-// per node and scatters adjacency across the allocator — at 100k+ nodes the
-// pointer-chasing dominates every traversal. StaticGraph keeps the whole
-// edge set in two flat arrays (offsets[n+1] + edges[m], the layout
-// libgrape-lite style graph engines use), built by the classic two-pass
-// degree-count / fill scheme. Both passes are safe to run concurrently
-// over disjoint node ranges, which is how analysis::overlay_graph streams
-// view edges out of each engine shard without ever materializing an
-// adjacency-list graph.
+// An adjacency list (vector<vector<NodeId>>) costs one heap block plus
+// vector header per node and scatters adjacency across the allocator — at
+// 100k+ nodes the pointer-chasing dominates every traversal. StaticGraph
+// keeps the whole edge set in two flat arrays (offsets[n+1] + edges[m],
+// the layout libgrape-lite style graph engines use), built by the classic
+// two-pass degree-count / fill scheme. Both passes are safe to run
+// concurrently over disjoint node ranges, which is how
+// analysis::overlay_graph streams view edges out of each engine shard
+// without ever materializing an adjacency-list graph.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "graph/digraph.hpp"
 
 namespace whatsup::graph {
 
@@ -35,10 +34,6 @@ class StaticGraph {
   std::size_t out_degree(NodeId v) const {
     return offsets_[v + 1] - offsets_[v];
   }
-
-  // Adjacency-list interop (tests, small drivers). Rows end up sorted and
-  // deduplicated, like Digraph::dedupe.
-  static StaticGraph from_digraph(const Digraph& g);
 
   // Two-pass builder.
   //
@@ -65,7 +60,7 @@ class StaticGraph {
     // between the passes.
     void finish_degrees();
     // Pass 2: append an out-edge of v. Self-loops are ignored (overlay
-    // semantics, matching Digraph::add_edge).
+    // semantics: a node never lists itself in its view).
     void add_edge(NodeId v, NodeId w);
     // Sorts and deduplicates the rows of nodes [lo, hi).
     void dedupe_rows(NodeId lo, NodeId hi);

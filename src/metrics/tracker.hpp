@@ -38,18 +38,17 @@ class Tracker : public sim::DisseminationObserver {
 
   // Registers as the engine's observer and binds the clock used by the
   // per-cycle series. Also registers the compaction cycle hook (see
-  // set_compaction); the tracker must outlive the engine's run.
+  // compact_settled); the tracker must outlive the engine's run.
   void attach(sim::Engine& engine);
 
-  // Compact tracker mode (on by default): once an item has gone
-  // `settle_cycles` without a delivery/opinion/duplicate, its reached and
-  // liked sets are frozen into sorted varint delta blocks
-  // (HybridSet::freeze — adopted only when strictly smaller). Purely a
-  // storage change: digests are computed from the same ascending member
-  // iteration, and a late delivery transparently thaws the set, so
-  // fixed-seed trajectories are bit-identical with compaction on or off.
-  void set_compaction(bool enabled, Cycle settle_cycles = kDefaultSettleCycles);
-  static constexpr Cycle kDefaultSettleCycles = 16;
+  // Compaction: once an item has gone kSettleCycles without a
+  // delivery/opinion/duplicate, its reached and liked sets are frozen into
+  // sorted varint delta blocks (HybridSet::freeze — adopted only when
+  // strictly smaller). Purely a storage change: digests are computed from
+  // the same ascending member iteration, and a late delivery transparently
+  // thaws the set, so fixed-seed trajectories are bit-identical whether or
+  // not a set was ever frozen.
+  static constexpr Cycle kSettleCycles = 16;
   // Runs one compaction pass at cycle `now` (the attach hook calls this
   // every cycle; exposed for tests).
   void compact_settled(Cycle now);
@@ -120,17 +119,11 @@ class Tracker : public sim::DisseminationObserver {
   // delivery. The runner declares publication cycles (from its calendar);
   // deliveries of undeclared items are not latency-scored.
   void set_publish_cycle(ItemIdx item, Cycle cycle);
-  // Histogram clipped at kMaxLatencyBin (last bin = "that or slower").
-  static constexpr std::size_t kMaxLatencyBin = 63;
-  const std::array<std::uint64_t, kMaxLatencyBin + 1>& latency_histogram() const {
-    return latency_hist_;
-  }
   double mean_latency() const {
     return latency_count_ == 0 ? 0.0
                                : static_cast<double>(latency_sum_) /
                                      static_cast<double>(latency_count_);
   }
-  std::uint64_t latency_count() const { return latency_count_; }
   // Per-delivery-cycle latency accumulators (sum, count), indexed by the
   // cycle the delivery happened in — lets the runner reduce per-window
   // mean latency aligned with its recall windows.
@@ -165,7 +158,6 @@ class Tracker : public sim::DisseminationObserver {
   std::uint64_t total_duplicates_ = 0;
   std::uint64_t total_deliveries_ = 0;
   std::vector<Cycle> publish_cycle_;
-  std::array<std::uint64_t, kMaxLatencyBin + 1> latency_hist_{};
   std::uint64_t latency_sum_ = 0;
   std::uint64_t latency_count_ = 0;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> latency_by_cycle_;
@@ -184,8 +176,6 @@ class Tracker : public sim::DisseminationObserver {
   // Touches are recorded on the main thread in canonical commit order and
   // the pass runs in a cycle hook, so freezing is a deterministic function
   // of the trajectory.
-  bool compaction_enabled_ = true;
-  Cycle settle_cycles_ = kDefaultSettleCycles;
   std::vector<Cycle> last_touch_;
   std::vector<bool> settled_;
   void touch(ItemIdx item);

@@ -67,9 +67,6 @@ struct NetworkConfig {
   Cycle crash_recovery = 0;
 
   bool partitioned() const { return partition_nodes > 0; }
-  bool has_link_faults() const {
-    return burst.enabled() || duplicate_rate > 0.0 || reorder_rate > 0.0;
-  }
 
   static NetworkConfig perfect();
   static NetworkConfig lossy(double loss_rate);

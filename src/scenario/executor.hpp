@@ -59,10 +59,6 @@ class Executor {
 
   Hooks& hooks() { return hooks_; }
 
-  // Honest population size (frozen by register_adversaries, or at the
-  // first begin_cycle for adversary-free timelines).
-  std::size_t honest_nodes() const { return honest_n_; }
-
   // Observability for tests: the registered adversaries (engine owns
   // them) and the spam-item index range appended by prepare().
   const std::vector<SpammerAgent*>& spammer_agents() const { return spammers_; }

@@ -24,7 +24,7 @@
 // applying loss and latency from each message's private counter-based
 // stream (keyed by sender, cycle and the sender's send counter).
 // Fixed-seed trajectories are therefore bit-identical for any
-// worker-thread count — and, via the Transport seam (sim/transport.hpp),
+// worker-thread count — and, via the socket transport (sim/transport.hpp),
 // for any fragment-partition count; see docs/architecture.md.
 //
 // Agents are protocol endpoints (WhatsUp node, gossip node, ...); the
@@ -54,7 +54,7 @@ namespace whatsup::sim {
 class Engine;
 struct PendingMessage;
 struct Shard;
-class Transport;
+class SocketTransport;
 class WorkerPool;
 
 // Facade handed to agents: scoped send/rng/time/measurement access for one
@@ -144,14 +144,14 @@ class Engine : public ParallelExecutor {
     // granularity against barrier overhead.
     std::size_t shard_nodes = 0;
     // Cross-fragment message transport (sim/transport.hpp); NOT owned and
-    // must outlive the engine. nullptr (the default) behaves exactly like
-    // an InProcessTransport: one fragment, no serialization, today's
-    // mailbox rings. With a multi-fragment transport this engine becomes
+    // must outlive the engine. nullptr (the default) is the single-process
+    // engine: one fragment, no serialization, only the in-process mailbox
+    // rings. With a multi-fragment transport this engine becomes
     // one lockstep worker owning the node ids congruent to
     // transport->fragment_id() modulo transport->fragments(); the
     // fixed-seed trajectory is invariant to the fragment count (see
     // docs/architecture.md "Transport layer").
-    Transport* transport = nullptr;
+    SocketTransport* transport = nullptr;
   };
 
   // Small enough that a 500-node deployment still fans out over 8 workers;
@@ -345,7 +345,7 @@ class Engine : public ParallelExecutor {
   // Fragment partitioning (sim/transport.hpp). Every worker runs the full
   // control plane (scenario events, crash draws, calendar) in lockstep;
   // only agent execution and mailbox storage are partitioned by ownership.
-  Transport* transport_ = nullptr;  // not owned; nullptr = single fragment
+  SocketTransport* transport_ = nullptr;  // not owned; nullptr = single fragment
   std::size_t fragments_ = 1;
   std::size_t fragment_ = 0;
 

@@ -46,24 +46,34 @@ void set_nonblocking(int fd) {
   }
 }
 
+void close_all(const std::vector<int>& fds) {
+  for (int fd : fds) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
 }  // namespace
 
 SocketTransport::SocketTransport(std::size_t fragment_id,
                                  std::vector<int> peer_fds)
-    : fragment_(fragment_id), fds_(std::move(peer_fds)), inbuf_(fds_.size()) {
-  if (fragment_ >= fds_.size()) die("fragment_id out of range");
-  for (std::size_t f = 0; f < fds_.size(); ++f) {
-    if (f == fragment_) continue;
-    if (fds_[f] < 0) die("missing peer fd");
-    set_nonblocking(fds_[f]);
+    : fragment_(fragment_id), fds_(std::move(peer_fds)) {
+  // The destructor does not run for a constructor that throws, so the
+  // fds this object already owns are closed here before rethrowing.
+  try {
+    if (fragment_ >= fds_.size()) die("fragment_id out of range");
+    for (std::size_t f = 0; f < fds_.size(); ++f) {
+      if (f == fragment_) continue;
+      if (fds_[f] < 0) die("missing peer fd");
+      set_nonblocking(fds_[f]);
+    }
+    inbuf_.resize(fds_.size());
+  } catch (...) {
+    close_all(fds_);
+    throw;
   }
 }
 
-SocketTransport::~SocketTransport() {
-  for (int fd : fds_) {
-    if (fd >= 0) ::close(fd);
-  }
-}
+SocketTransport::~SocketTransport() { close_all(fds_); }
 
 std::vector<std::vector<std::uint8_t>> SocketTransport::exchange(
     const std::vector<std::vector<std::uint8_t>>& out) {

@@ -3,8 +3,8 @@
 // The engine's commit protocol was always a message-manager contract in
 // disguise: every commit slot (the staged main-thread flush plus the two
 // phase commits per cycle) routes the slot's messages in canonical sender
-// order and inserts them into the receivers' mailbox rings. Transport
-// promotes the cross-fragment half of that contract to an interface:
+// order and inserts them into the receivers' mailbox rings.
+// SocketTransport carries the cross-fragment half of that contract:
 //
 //  * the node id space is partitioned round-robin across `fragments()`
 //    workers (owner(v) = v % fragments — the libgrape-lite inner/outer
@@ -26,16 +26,12 @@
 // redundantly and deterministically, so barriers are the only
 // communication the protocol needs.
 //
-// Backends:
-//  * InProcessTransport — the single-fragment identity: exchange() has
-//    nothing to ship and returns immediately. The engine additionally
-//    short-circuits serialization entirely when fragments() == 1, so the
-//    single-process fast path is bit-and-cost-identical to the
-//    pre-transport engine.
-//  * SocketTransport — a full mesh of stream sockets (loopback TCP or —
-//    what the launcher and tests use — AF_UNIX socketpairs) carrying
-//    length-prefixed, checksummed frames; one frame per peer per slot,
-//    empty frames doubling as pure barrier tokens.
+// The transport is a full mesh of stream sockets (loopback TCP or — what
+// the launcher and tests use — AF_UNIX socketpairs) carrying
+// length-prefixed, checksummed frames; one frame per peer per slot, empty
+// frames doubling as pure barrier tokens. A single-process run has no
+// transport at all: the engine's `transport == nullptr` mode takes
+// fragments() == 1 fast paths that never serialize or exchange.
 #pragma once
 
 #include <cstddef>
@@ -44,14 +40,25 @@
 
 namespace whatsup::sim {
 
-class Transport {
+// `peer_fds[f]` is a connected stream socket to fragment f (own slot -1);
+// the constructor takes ownership and the destructor closes them (so does
+// a constructor that throws). Exchange writes one frame per peer and reads
+// one frame per peer, polling so simultaneous full-duplex traffic cannot
+// deadlock on kernel buffer limits. A closed peer or a corrupt frame
+// throws std::runtime_error: workers are lockstep replicas, so any
+// divergence is fatal by design.
+class SocketTransport {
  public:
-  virtual ~Transport() = default;
+  SocketTransport(std::size_t fragment_id, std::vector<int> peer_fds);
+  ~SocketTransport();
+
+  SocketTransport(const SocketTransport&) = delete;
+  SocketTransport& operator=(const SocketTransport&) = delete;
 
   // Number of node fragments (worker processes); ids are owned round-robin.
-  virtual std::size_t fragments() const = 0;
+  std::size_t fragments() const { return fds_.size(); }
   // This worker's fragment index in [0, fragments()).
-  virtual std::size_t fragment_id() const = 0;
+  std::size_t fragment_id() const { return fragment_; }
 
   // Ships out[f] (serialized envelope batch bytes) to fragment f for every
   // f != fragment_id() — out[fragment_id()] is ignored — and returns the
@@ -59,40 +66,8 @@ class Transport {
   // until every peer has completed the same exchange; called the same
   // number of times per cycle on every worker (3: staged flush, deliver
   // commit, activate commit).
-  virtual std::vector<std::vector<std::uint8_t>> exchange(
-      const std::vector<std::vector<std::uint8_t>>& out) = 0;
-};
-
-// Single-fragment backend: today's in-process mailbox rings, unchanged.
-class InProcessTransport final : public Transport {
- public:
-  std::size_t fragments() const override { return 1; }
-  std::size_t fragment_id() const override { return 0; }
   std::vector<std::vector<std::uint8_t>> exchange(
-      const std::vector<std::vector<std::uint8_t>>& out) override {
-    return std::vector<std::vector<std::uint8_t>>(out.size());
-  }
-};
-
-// Stream-socket mesh backend. `peer_fds[f]` is a connected stream socket
-// to fragment f (own slot -1); the constructor takes ownership and the
-// destructor closes them. Exchange writes one frame per peer and reads one
-// frame per peer, polling so simultaneous full-duplex traffic cannot
-// deadlock on kernel buffer limits. A closed peer or a corrupt frame
-// throws std::runtime_error: workers are lockstep replicas, so any
-// divergence is fatal by design.
-class SocketTransport final : public Transport {
- public:
-  SocketTransport(std::size_t fragment_id, std::vector<int> peer_fds);
-  ~SocketTransport() override;
-
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
-
-  std::size_t fragments() const override { return fds_.size(); }
-  std::size_t fragment_id() const override { return fragment_; }
-  std::vector<std::vector<std::uint8_t>> exchange(
-      const std::vector<std::vector<std::uint8_t>>& out) override;
+      const std::vector<std::vector<std::uint8_t>>& out);
 
  private:
   std::size_t fragment_ = 0;

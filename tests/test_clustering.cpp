@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph_test_utils.hpp"
+
 namespace whatsup::graph {
 namespace {
 
@@ -38,16 +40,14 @@ TEST(Clustering, TriangleWithTail) {
 }
 
 TEST(Clustering, DigraphUsesUndirectedClosure) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);  // directed 3-cycle closes into a triangle
+  // A directed 3-cycle closes into a triangle.
+  const StaticGraph g = testing::graph_from_edges(3, {{0, 1}, {1, 2}, {2, 0}});
   EXPECT_DOUBLE_EQ(avg_clustering_coefficient(g), 1.0);
 }
 
 TEST(Clustering, EmptyGraphIsZero) {
   EXPECT_DOUBLE_EQ(avg_clustering_coefficient(UGraph{}), 0.0);
-  EXPECT_DOUBLE_EQ(avg_clustering_coefficient(Digraph{}), 0.0);
+  EXPECT_DOUBLE_EQ(avg_clustering_coefficient(testing::graph_from_edges(0, {})), 0.0);
 }
 
 }  // namespace

@@ -2,21 +2,26 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
+#include "graph_test_utils.hpp"
 
 namespace whatsup::graph {
 namespace {
 
+using testing::EdgeList;
+using testing::graph_from_edges;
+
 TEST(Scc, EmptyGraph) {
-  const auto result = strongly_connected_components(Digraph{});
+  const StaticGraph g = graph_from_edges(0, {});
+  const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 0u);
   EXPECT_EQ(result.largest, 0u);
-  EXPECT_EQ(largest_scc_fraction(Digraph{}), 0.0);
+  EXPECT_EQ(largest_scc_fraction(g), 0.0);
 }
 
 TEST(Scc, SingleCycleIsOneComponent) {
-  Digraph g(5);
-  for (NodeId v = 0; v < 5; ++v) g.add_edge(v, (v + 1) % 5);
+  EdgeList edges;
+  for (NodeId v = 0; v < 5; ++v) edges.emplace_back(v, (v + 1) % 5);
+  const StaticGraph g = graph_from_edges(5, edges);
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 1u);
   EXPECT_EQ(result.largest, 5u);
@@ -24,10 +29,7 @@ TEST(Scc, SingleCycleIsOneComponent) {
 }
 
 TEST(Scc, DagHasSingletonComponents) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const StaticGraph g = graph_from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 4u);
   EXPECT_EQ(result.largest, 1u);
@@ -35,15 +37,9 @@ TEST(Scc, DagHasSingletonComponents) {
 }
 
 TEST(Scc, TwoCyclesJoinedByOneWayBridge) {
-  Digraph g(6);
   // Cycle A: 0-1-2, cycle B: 3-4-5, bridge 2 -> 3.
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(5, 3);
-  g.add_edge(2, 3);
+  const StaticGraph g = graph_from_edges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 2u);
   EXPECT_EQ(result.largest, 3u);
@@ -55,24 +51,15 @@ TEST(Scc, TwoCyclesJoinedByOneWayBridge) {
 }
 
 TEST(Scc, BidirectionalBridgeMergesComponents) {
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(5, 3);
-  g.add_edge(2, 3);
-  g.add_edge(3, 2);
+  const StaticGraph g = graph_from_edges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}, {3, 2}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 1u);
   EXPECT_EQ(result.largest, 6u);
 }
 
 TEST(Scc, IsolatedNodesAreSingletons) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
+  const StaticGraph g = graph_from_edges(3, {{0, 1}, {1, 0}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 2u);
   EXPECT_EQ(result.largest, 2u);
@@ -80,11 +67,10 @@ TEST(Scc, IsolatedNodesAreSingletons) {
 
 TEST(Scc, LargeRandomGraphTerminatesAndLabelsEveryone) {
   // Deep chains exercise the iterative Tarjan (no stack overflow).
-  Rng rng(7);
-  Digraph g(20000);
-  for (NodeId v = 0; v + 1 < 20000; ++v) g.add_edge(v, v + 1);
-  g.add_edge(19999, 0);  // giant cycle
-  const auto result = strongly_connected_components(g);
+  EdgeList edges;
+  for (NodeId v = 0; v + 1 < 20000; ++v) edges.emplace_back(v, v + 1);
+  edges.emplace_back(19999, 0);  // giant cycle
+  const auto result = strongly_connected_components(graph_from_edges(20000, edges));
   EXPECT_EQ(result.count, 1u);
   EXPECT_EQ(result.largest, 20000u);
 }

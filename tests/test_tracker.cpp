@@ -172,20 +172,12 @@ TEST(Tracker, CompactionFreezesOnlyAfterSettleWindow) {
     tracker.on_delivery(u * 50, 1, 1, false, 0);
   }
   const std::uint64_t digest_before = tracker.digest();
-  tracker.compact_settled(Tracker::kDefaultSettleCycles - 1);
+  tracker.compact_settled(Tracker::kSettleCycles - 1);
   EXPECT_EQ(tracker.frozen_sets(), 0u) << "inside the settle window";
-  tracker.compact_settled(Tracker::kDefaultSettleCycles);
+  tracker.compact_settled(Tracker::kSettleCycles);
   EXPECT_GT(tracker.frozen_sets(), 0u) << "window elapsed for both items";
   EXPECT_EQ(tracker.digest(), digest_before) << "freezing is storage-only";
   EXPECT_EQ(tracker.reached(0).count(), 40u);
-}
-
-TEST(Tracker, CompactionDisabledNeverFreezes) {
-  Tracker tracker(100000, 1);
-  tracker.set_compaction(false);
-  for (NodeId u = 0; u < 40; ++u) tracker.on_delivery(u * 50, 0, 1, false, 0);
-  tracker.compact_settled(1000);
-  EXPECT_EQ(tracker.frozen_sets(), 0u);
 }
 
 TEST(Tracker, LateDeliveryThawsAndStaysCorrect) {
@@ -200,7 +192,7 @@ TEST(Tracker, LateDeliveryThawsAndStaysCorrect) {
   EXPECT_TRUE(tracker.reached(0).test(12345));
   EXPECT_EQ(tracker.reached(0).count(), 41u);
   EXPECT_NE(tracker.digest(), frozen_digest) << "new member must change state";
-  tracker.compact_settled(1000 + 2 * Tracker::kDefaultSettleCycles);
+  tracker.compact_settled(1000 + 2 * Tracker::kSettleCycles);
   EXPECT_GT(tracker.frozen_sets(), 0u);
   EXPECT_TRUE(tracker.reached(0).test(12345));
 }
@@ -224,7 +216,6 @@ TEST(Tracker, DigestIdenticalWithCompactionOnAndOff) {
     return digests;
   };
   Tracker with(100000, 2), without(100000, 2);
-  without.set_compaction(false);
   EXPECT_EQ(feed(with, true), feed(without, false));
   EXPECT_GT(with.frozen_sets(), 0u) << "the compacted run really froze sets";
   EXPECT_EQ(without.frozen_sets(), 0u);

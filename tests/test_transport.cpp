@@ -1,13 +1,14 @@
-// Transport backends (sim/transport.hpp): the in-process identity, and the
-// socket mesh the fragment-partitioned engine exchanges envelope batches
-// over. The socket tests drive real AF_UNIX socketpairs from threads — the
-// same mesh the forking bench launcher hands to worker processes.
+// SocketTransport (sim/transport.hpp): the socket mesh the
+// fragment-partitioned engine exchanges envelope batches over. The tests
+// drive real AF_UNIX socketpairs from threads — the same mesh the forking
+// bench launcher hands to worker processes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,13 +21,19 @@ namespace {
 
 using Batches = std::vector<std::vector<std::uint8_t>>;
 
-TEST(Transport, InProcessIsTheSingleFragmentIdentity) {
-  InProcessTransport t;
-  EXPECT_EQ(t.fragments(), 1u);
-  EXPECT_EQ(t.fragment_id(), 0u);
-  const Batches in = t.exchange(Batches(1));
-  ASSERT_EQ(in.size(), 1u);
-  EXPECT_TRUE(in[0].empty());
+void close_row(const std::vector<int>& row) {
+  for (int fd : row) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
 }
 
 // A deterministic per-(slot, sender, receiver) payload so every byte of
@@ -97,9 +104,7 @@ TEST(Transport, SocketMeshFourFragmentsManySlots) { exercise_mesh(4, 25); }
 TEST(Transport, PeerCloseIsFatal) {
   std::vector<std::vector<int>> mesh = socketpair_mesh(2);
   // Fragment 1 never shows up: close its whole row.
-  for (int fd : mesh[1]) {
-    if (fd >= 0) ::close(fd);
-  }
+  close_row(mesh[1]);
   SocketTransport transport(0, std::move(mesh[0]));
   EXPECT_THROW(transport.exchange(Batches(2)), std::runtime_error);
 }
@@ -113,9 +118,28 @@ TEST(Transport, CorruptFrameIsFatal) {
             static_cast<ssize_t>(sizeof(junk)));
   SocketTransport transport(0, std::move(mesh[0]));
   EXPECT_THROW(transport.exchange(Batches(2)), std::runtime_error);
-  for (int fd : mesh[1]) {
-    if (fd >= 0) ::close(fd);
-  }
+  close_row(mesh[1]);
+}
+
+TEST(Transport, FailedConstructionClosesOutOfRangeRow) {
+  std::vector<std::vector<int>> mesh = socketpair_mesh(2);
+  const std::size_t before = open_fd_count();
+  // Fragment id 2 is out of range for a 2-fragment row; the constructor
+  // owned the row's one live fd and must close it on the way out.
+  EXPECT_THROW(SocketTransport(2, std::move(mesh[0])), std::runtime_error);
+  EXPECT_EQ(open_fd_count(), before - 1);
+  close_row(mesh[1]);
+}
+
+TEST(Transport, FailedConstructionClosesRowWithMissingPeer) {
+  std::vector<std::vector<int>> mesh = socketpair_mesh(3);
+  ::close(mesh[0][2]);
+  mesh[0][2] = -1;  // fragment 2's slot missing; slot 1 is live
+  const std::size_t before = open_fd_count();
+  EXPECT_THROW(SocketTransport(0, std::move(mesh[0])), std::runtime_error);
+  EXPECT_EQ(open_fd_count(), before - 1);
+  close_row(mesh[1]);
+  close_row(mesh[2]);
 }
 
 TEST(Transport, MeshShapeAndOwnership) {
@@ -129,11 +153,7 @@ TEST(Transport, MeshShapeAndOwnership) {
       if (i != j) EXPECT_GE(mesh[i][j], 0);
     }
   }
-  for (auto& row : mesh) {
-    for (int fd : row) {
-      if (fd >= 0) ::close(fd);
-    }
-  }
+  for (const auto& row : mesh) close_row(row);
 }
 
 }  // namespace
