@@ -282,7 +282,7 @@ void BM_WhatsUpSim_1000n_200c(benchmark::State& state) {
 // Fault-sweep rows: the baseline scale re-run under the fault-testbed
 // presets with the ack/retransmit reliability layer and view hygiene
 // enabled — what the fault model plus per-copy acks, retransmission
-// queues and dedup logs cost in simulated cycles/s. state.range(0) =
+// queues and view hygiene cost in simulated cycles/s. state.range(0) =
 // worker threads; the profile is baked into the row name.
 void BM_WhatsUpSim_500n_200c_ModelNetFaults(benchmark::State& state) {
   const net::NetworkConfig network = net::NetworkConfig::modelnet_faults();

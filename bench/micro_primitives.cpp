@@ -18,7 +18,6 @@
 #include "graph/static_graph.hpp"
 #include "profile/item_profile.hpp"
 #include "profile/similarity.hpp"
-#include "profile/snapshot.hpp"
 
 // Global operator-new hook counting heap allocations, so the payload
 // benchmarks can report `allocs_per_op` — the number the CoW + SBO work
@@ -116,9 +115,10 @@ void BM_ViewMergeClosest(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewMergeClosest)->Arg(30)->Arg(70)->Arg(150);
 
-// Outgoing-descriptor materialization: seed behavior (deep copy per send)
-// vs the shipped ProfileSnapshotCache (shared snapshot until the profile
-// version changes).
+// Outgoing-descriptor construction through make_descriptor: a version-
+// keyed arena intern (ProfileHandle::snapshot) per call, a table hit after
+// the first iteration. Nothing is deep-copied; the name predates the
+// arena.
 void BM_DescriptorDeepCopy(benchmark::State& state) {
   Rng rng(8);
   const Profile profile = random_profile(rng, 60, 240);
@@ -128,17 +128,6 @@ void BM_DescriptorDeepCopy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DescriptorDeepCopy);
-
-void BM_DescriptorSnapshotCache(benchmark::State& state) {
-  Rng rng(8);
-  const Profile profile = random_profile(rng, 60, 240);
-  ProfileSnapshotCache cache;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::make_descriptor(1, 0, cache.get(profile)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DescriptorSnapshotCache);
 
 // ---- Compact profile codec (profile/compact.hpp) --------------------------
 //

@@ -130,7 +130,7 @@ try:
         for name in (
             "engine.cycles", "engine.deliver.messages", "engine.route.messages",
             "engine.deliver.overflow_dropped", "relia.retransmits",
-            "relia.dedup.repeats", "profile.scratch.hits", "profile.scratch.misses",
+            "profile.scratch.hits", "profile.scratch.misses",
             "tracker.resident_bytes", "engine.mem.total_bytes",
         )
     }

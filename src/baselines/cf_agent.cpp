@@ -17,7 +17,7 @@ void CfAgent::bootstrap_rps(std::vector<net::Descriptor> seed) {
 void CfAgent::on_cycle(sim::Context& ctx) {
   profile_.purge_older_than(ctx.now() - params_.profile_window);
   rps_.step(ctx, profile_);
-  knn_.step(ctx, profile_, rps_.view());
+  knn_.step(ctx, rps_.view(), profile_);
 }
 
 void CfAgent::on_message(sim::Context& ctx, const net::Message& message) {
@@ -29,7 +29,7 @@ void CfAgent::on_message(sim::Context& ctx, const net::Message& message) {
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      knn_.on_request(ctx, message.view(), profile_, rps_.view());
+      knn_.on_request(ctx, message.view(), profile_, rps_.view(), profile_);
       break;
     case net::MsgType::kWupReply:
       knn_.on_reply(ctx, message.view(), profile_, rps_.view());

@@ -14,9 +14,9 @@ void ClusteringProtocol::bootstrap(std::vector<net::Descriptor> seed) {
 }
 
 net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
-                                                  const Profile& own_profile) const {
+                                                  const Profile& disclosed) const {
   net::ViewPayload payload;
-  payload.sender = net::Descriptor{self_, snapshot_cache_.stamp(ctx.now(), own_profile)};
+  payload.sender = net::Descriptor{self_, snapshot_cache_.stamp(ctx.now(), disclosed)};
   // The ENTIRE view (§II), copied into a pooled buffer recycled from
   // earlier delivered messages.
   payload.view = ctx.acquire_descriptor_buffer();
@@ -24,8 +24,8 @@ net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
   return payload;
 }
 
-void ClusteringProtocol::step(sim::Context& ctx, const Profile& own_profile,
-                              const View& rps_view, const Profile* disclosed) {
+void ClusteringProtocol::step(sim::Context& ctx, const View& rps_view,
+                              const Profile& disclosed) {
   if (period_ > 1 && ctx.now() % period_ != 0) return;
   NodeId to = kNoNode;
   if (const net::Descriptor* oldest = view_.oldest(); oldest != nullptr) {
@@ -34,15 +34,13 @@ void ClusteringProtocol::step(sim::Context& ctx, const Profile& own_profile,
     to = rps_view.random_member(ctx.rng());  // bootstrap out of an empty view
   }
   if (to == kNoNode) return;
-  ctx.send(to, net::MsgType::kWupRequest,
-           make_payload(ctx, disclosed != nullptr ? *disclosed : own_profile));
+  ctx.send(to, net::MsgType::kWupRequest, make_payload(ctx, disclosed));
 }
 
 void ClusteringProtocol::on_request(sim::Context& ctx, const net::ViewPayload& payload,
                                     const Profile& own_profile, const View& rps_view,
-                                    const Profile* disclosed) {
-  ctx.send(payload.sender.node, net::MsgType::kWupReply,
-           make_payload(ctx, disclosed != nullptr ? *disclosed : own_profile));
+                                    const Profile& disclosed) {
+  ctx.send(payload.sender.node, net::MsgType::kWupReply, make_payload(ctx, disclosed));
   merge(ctx, payload, own_profile, rps_view);
 }
 

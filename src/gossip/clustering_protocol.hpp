@@ -26,17 +26,18 @@ class ClusteringProtocol {
 
   void bootstrap(std::vector<net::Descriptor> seed);
 
-  // Active thread; `rps_view` provides the random candidate stream and the
-  // fallback gossip target while the WUP view is still empty.
-  // `own_profile` drives the similarity-based view selection (always the
-  // node's TRUE profile); `disclosed`, when non-null, is the snapshot
-  // shipped in outgoing descriptors instead (profile obfuscation, §VII).
-  void step(sim::Context& ctx, const Profile& own_profile, const View& rps_view,
-            const Profile* disclosed = nullptr);
+  // Active thread; `rps_view` provides the fallback gossip target while the
+  // WUP view is still empty. `disclosed` is the profile shipped in outgoing
+  // descriptors: the obfuscated snapshot under profile obfuscation (§VII),
+  // otherwise the node's true profile.
+  void step(sim::Context& ctx, const View& rps_view, const Profile& disclosed);
 
+  // Passive thread and reply: `own_profile` drives the similarity-based
+  // view selection (always the node's TRUE profile); `rps_view` feeds
+  // fresh random candidates into the merge.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,
                   const Profile& own_profile, const View& rps_view,
-                  const Profile* disclosed = nullptr);
+                  const Profile& disclosed);
   void on_reply(sim::Context& ctx, const net::ViewPayload& payload,
                 const Profile& own_profile, const View& rps_view);
 
@@ -47,7 +48,7 @@ class ClusteringProtocol {
  private:
   // Takes the context to stamp the send cycle and to draw a pooled payload
   // buffer from the executing shard.
-  net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile) const;
+  net::ViewPayload make_payload(sim::Context& ctx, const Profile& disclosed) const;
   void merge(sim::Context& ctx, const net::ViewPayload& payload,
              const Profile& own_profile, const View& rps_view);
 

@@ -60,7 +60,6 @@ class ViewHygiene {
   std::size_t evict_stale(View& view, Cycle now);
 
   int suspicion(NodeId node) const;
-  void forget(NodeId node) { suspicion_.erase(node); }
   void clear() { suspicion_.clear(); }
 
  private:

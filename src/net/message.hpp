@@ -129,7 +129,8 @@ struct NewsPayload {
 // Payload of a reliability-layer acknowledgment: the receiver confirms one
 // news copy back to its immediate forwarder, which clears the matching
 // (item, target) entry from the sender's retransmission queue. `hop`
-// echoes the acknowledged copy's hop count (the dedup-log key).
+// echoes the acknowledged copy's hop count (carried on the wire; no
+// handler reads it).
 struct AckPayload {
   ItemId item = 0;
   int hop = 0;

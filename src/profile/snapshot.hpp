@@ -1,15 +1,15 @@
-// Version-keyed cache around interned profile snapshots — the memory
+// Per-cycle stamp cache for a node's outgoing self-descriptor — the memory
 // half of the gossip hot path.
 //
-// Descriptors ship profiles as interned compact records behind a 16-byte
-// `ProfileHandle` (profile/compact.hpp). The seed implementation deep-
-// copied the sender's profile into a fresh snapshot for EVERY outgoing
-// gossip message. That is redundant while the profile is unchanged, which
-// `Profile::version()` detects exactly: equal versions imply equal
-// contents (see profile.hpp). `ProfileSnapshotCache` re-interns a node's
-// outgoing snapshot only when its profile version changed, skipping the
-// intern-table lock on the (overwhelmingly common) unchanged path; all
-// empty profiles share one static handle.
+// Descriptors ship profiles as interned compact records behind a 4-byte
+// `DescriptorRef` stamp (timestamp, snapshot) in the snapshot arena
+// (profile/compact.hpp). A node sending several gossip messages in one
+// cycle would otherwise mint one stamp record per message.
+// `ProfileSnapshotCache` keeps the last stamp and reuses it while both the
+// cycle and `Profile::version()` are unchanged (equal versions imply equal
+// contents, see profile.hpp). On a miss it interns through
+// `ProfileHandle::snapshot`, whose version-keyed table already shares each
+// profile generation across cycles; empty profiles share one static handle.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,6 @@ namespace whatsup {
 
 class ProfileSnapshotCache {
  public:
-  // Returns an interned snapshot with the same contents as `profile`,
-  // reusing the previous handle while the version is unchanged.
-  ProfileHandle get(const Profile& profile);
-
   // The (timestamp, snapshot) stamp record for a self-descriptor emitted
   // at `now`: reused while both the profile version and the cycle are
   // unchanged, so a node sending several gossip messages in one cycle
@@ -32,8 +28,6 @@ class ProfileSnapshotCache {
   DescriptorRef stamp(Cycle now, const Profile& profile);
 
  private:
-  ProfileHandle handle_;
-  std::uint64_t version_ = 0;
   DescriptorRef stamp_;
   Cycle stamp_cycle_ = kNoCycle;
   std::uint64_t stamp_version_ = ~std::uint64_t{0};

@@ -546,7 +546,7 @@ void Engine::route_message(net::Message message) {
   }
   // Duplication: the copy takes its own latency draw, so it may land
   // before or after the original. Receivers are responsible for idempotent
-  // handling (SIR seen-state; the reliability layer's dedup log).
+  // handling (for news, the SIR seen-set drops every repeat).
   if (config_.network.duplicate_rate > 0.0 &&
       mrng.bernoulli(config_.network.duplicate_rate)) {
     net::Message copy = message;

@@ -16,7 +16,6 @@ struct ReliabilityMetrics {
   obs::MetricId retransmits = obs::counter("relia.retransmits");
   obs::MetricId expired = obs::counter("relia.expired");
   obs::MetricId overflowed = obs::counter("relia.overflowed");
-  obs::MetricId dedup_repeats = obs::counter("relia.dedup.repeats");
 
   static const ReliabilityMetrics& get() {
     static const ReliabilityMetrics m;
@@ -25,38 +24,6 @@ struct ReliabilityMetrics {
 };
 
 }  // namespace
-
-// ---- DedupLog -------------------------------------------------------------
-
-DedupLog::DedupLog(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-std::uint64_t DedupLog::key(ItemId item, int hop) {
-  // Item ids are 8-byte hashes already; mixing the hop in with a golden-
-  // ratio multiple keeps distinct (item, hop) pairs from colliding in
-  // practice.
-  return item ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hop)) *
-                 0x9e3779b97f4a7c15ULL);
-}
-
-bool DedupLog::seen_or_insert(ItemId item, int hop) {
-  const std::uint64_t k = key(item, hop);
-  if (set_.count(k) != 0) {
-    obs::add(ReliabilityMetrics::get().dedup_repeats);
-    return true;
-  }
-  if (order_.size() >= capacity_) {
-    set_.erase(order_.front());
-    order_.pop_front();
-  }
-  set_.insert(k);
-  order_.push_back(k);
-  return false;
-}
-
-void DedupLog::clear() {
-  set_.clear();
-  order_.clear();
-}
 
 // ---- RetransmitQueue ------------------------------------------------------
 

@@ -3,8 +3,7 @@
 // BEEP is fire-and-forget: under the paper's PlanetLab conditions up to
 // ~30% of correctly sent news never reached their target (§V-D). This
 // layer adds per-copy acknowledgments with timeout, exponential backoff
-// and bounded retries, plus a bounded dedup log so duplicated/reordered/
-// retransmitted deliveries stay idempotent:
+// and bounded retries:
 //
 //   * Sender: after forwarding a news copy to `target`, it registers the
 //     (item, target) pair in its RetransmitQueue. An incoming kAck from
@@ -15,9 +14,9 @@
 //     a suspected-dead peer (fed into gossip view hygiene).
 //   * Receiver: every news receipt is acknowledged back to its immediate
 //     forwarder — including repeats, so a lost ack is recovered by the
-//     retransmission it provokes. The DedupLog remembers recently seen
-//     (item, hop) keys to classify exact-copy repeats without unbounded
-//     state.
+//     retransmission it provokes. Repeats are then dropped by BEEP's SIR
+//     seen-set (§III), which keeps retransmitted and network-duplicated
+//     copies idempotent.
 //
 // Determinism: the queue's only randomness is the ±1 cycle retransmission
 // jitter, drawn from the node's reserved counter-based reliability
@@ -27,8 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -46,31 +43,6 @@ struct ReliabilityConfig {
   // Pending-entry cap per node; the oldest entry is dropped on overflow
   // (bounds memory under pathological loss).
   std::size_t queue_limit = 512;
-  // DedupLog capacity (recently seen (item, hop) keys).
-  std::size_t dedup_capacity = 1024;
-};
-
-// Bounded FIFO log of recently seen (item, hop) keys. Classifies repeat
-// deliveries of the same copy (retransmissions, network duplicates) so
-// they can be re-acked without reprocessing, with O(capacity) memory.
-class DedupLog {
- public:
-  explicit DedupLog(std::size_t capacity = 1024);
-
-  // True when the key was already present (a duplicate); records it and
-  // returns false otherwise. Eviction is FIFO on insertion order.
-  bool seen_or_insert(ItemId item, int hop);
-
-  std::size_t size() const { return order_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  void clear();
-
- private:
-  static std::uint64_t key(ItemId item, int hop);
-
-  std::size_t capacity_;
-  std::unordered_set<std::uint64_t> set_;
-  std::deque<std::uint64_t> order_;
 };
 
 // Per-node retransmission queue for in-flight news copies.

@@ -44,11 +44,6 @@ const sim::RetransmitQueue& WhatsUpAgent::retransmit_queue() const {
   return opt_in_ != nullptr ? opt_in_->retx : kEmpty;
 }
 
-const sim::DedupLog& WhatsUpAgent::dedup_log() const {
-  static const sim::DedupLog kEmpty{};
-  return opt_in_ != nullptr ? opt_in_->dedup : kEmpty;
-}
-
 const gossip::ViewHygiene& WhatsUpAgent::hygiene() const {
   static const gossip::ViewHygiene kEmpty{};
   return opt_in_ != nullptr ? opt_in_->hygiene : kEmpty;
@@ -63,7 +58,8 @@ void WhatsUpAgent::bootstrap_wup(std::vector<net::Descriptor> seed) {
 }
 
 const Profile& WhatsUpAgent::disclosed(Cycle now) {
-  // Only reachable behind config_.obfuscation.enabled(), so opt_in_ exists.
+  if (!config_.obfuscation.enabled()) return profile_;
+  // Obfuscation on implies the opt-in state exists.
   return opt_in_->obfuscation_cache.get(profile_, config_.obfuscation, self_, now);
 }
 
@@ -98,14 +94,9 @@ void WhatsUpAgent::on_cycle(sim::Context& ctx) {
     opt_in_->hygiene.evict_stale(wup_.view(), ctx.now());
   }
   if (config_.reliability.enabled) pump_retransmissions(ctx);
-  if (config_.obfuscation.enabled()) {
-    const Profile& snapshot = disclosed(ctx.now());
-    rps_.step(ctx, snapshot);
-    wup_.step(ctx, profile_, rps_.view(), &snapshot);
-  } else {
-    rps_.step(ctx, profile_);
-    wup_.step(ctx, profile_, rps_.view());
-  }
+  const Profile& outgoing = disclosed(ctx.now());
+  rps_.step(ctx, outgoing);
+  wup_.step(ctx, rps_.view(), outgoing);
 }
 
 void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
@@ -115,22 +106,13 @@ void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
   }
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      if (config_.obfuscation.enabled()) {
-        rps_.on_request(ctx, message.view(), disclosed(ctx.now()));
-      } else {
-        rps_.on_request(ctx, message.view(), profile_);
-      }
+      rps_.on_request(ctx, message.view(), disclosed(ctx.now()));
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      if (config_.obfuscation.enabled()) {
-        const Profile& snapshot = disclosed(ctx.now());
-        wup_.on_request(ctx, message.view(), profile_, rps_.view(), &snapshot);
-      } else {
-        wup_.on_request(ctx, message.view(), profile_, rps_.view());
-      }
+      wup_.on_request(ctx, message.view(), profile_, rps_.view(), disclosed(ctx.now()));
       break;
     case net::MsgType::kWupReply:
       wup_.on_reply(ctx, message.view(), profile_, rps_.view());
@@ -162,11 +144,9 @@ void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
                                          const net::ViewPayload& payload) {
   if (payload.sender.node == kNoNode || payload.sender.node == self_) return;
   // Hand the joiner our full RPS view plus our own fresh descriptor
-  // (rejoin is a cold path: the deep-copy make_descriptor is fine).
+  // (rejoin is a cold path: an uncached make_descriptor intern is fine).
   net::ViewPayload reply;
-  reply.sender = net::make_descriptor(
-      self_, ctx.now(),
-      config_.obfuscation.enabled() ? disclosed(ctx.now()) : profile_);
+  reply.sender = net::make_descriptor(self_, ctx.now(), disclosed(ctx.now()));
   reply.view = ctx.acquire_descriptor_buffer();
   for (const net::Descriptor& d : rps_.view().entries()) reply.view.push_back(d);
   ctx.send(payload.sender.node, net::MsgType::kRejoinReply, std::move(reply));
@@ -177,34 +157,26 @@ void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
 }
 
 void WhatsUpAgent::on_recover(sim::Context& ctx) {
-  // Views, pending retransmissions and the dedup log are soft state and
+  // Views, pending retransmissions and suspicion counts are soft state and
   // died with the process; the profile and SIR set model durable storage.
   rps_.view().clear();
   wup_.view().clear();
   if (opt_in_ != nullptr) {
     opt_in_->retx.clear();
-    opt_in_->dedup.clear();
     opt_in_->hygiene.clear();
   }
   const NodeId contact = ctx.random_active_peer();
   if (contact == kNoNode) return;
   net::ViewPayload hello;
-  hello.sender = net::make_descriptor(
-      self_, ctx.now(),
-      config_.obfuscation.enabled() ? disclosed(ctx.now()) : profile_);
+  hello.sender = net::make_descriptor(self_, ctx.now(), disclosed(ctx.now()));
   ctx.send(contact, net::MsgType::kRejoinRequest, std::move(hello));
 }
 
 void WhatsUpAgent::handle_news(sim::Context& ctx, NodeId from, net::NewsPayload news) {
-  if (config_.reliability.enabled) {
-    // Ack EVERY receipt, including repeats: a lost ack provokes a
-    // retransmission, and re-acking the repeat is what recovers it.
-    if (from != kNoNode && from != self_) {
-      ctx.send(from, net::MsgType::kAck, net::AckPayload{news.id, news.hops});
-    }
-    // Classify exact-copy repeats (retransmissions, network duplicates)
-    // with bounded memory; multi-path copies land under fresh keys.
-    opt_in_->dedup.seen_or_insert(news.id, news.hops);
+  // Ack EVERY receipt, including repeats: a lost ack provokes a
+  // retransmission, and re-acking the repeat is what recovers it.
+  if (config_.reliability.enabled && from != kNoNode && from != self_) {
+    ctx.send(from, net::MsgType::kAck, net::AckPayload{news.id, news.hops});
   }
   // SIR: an already-received item is dropped (§III) — but counted, so the
   // redundancy ratio (duplicate vs unique deliveries) is observable.

@@ -48,9 +48,9 @@ class WhatsUpAgent : public sim::Agent {
   void on_cycle(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, const net::Message& message) override;
   void publish(sim::Context& ctx, ItemIdx index, ItemId id) override;
-  // Crash recovery: drop soft state (views, retransmission queue, dedup
-  // log) and rebuild via a rejoin handshake; the profile and SIR state
-  // model durable storage and survive.
+  // Crash recovery: drop soft state (views, retransmission queue,
+  // suspicion counts) and rebuild via a rejoin handshake; the profile and
+  // SIR state model durable storage and survive.
   void on_recover(sim::Context& ctx) override;
 
   // Seed the views directly (bootstrap server stand-in at deployment
@@ -74,7 +74,6 @@ class WhatsUpAgent : public sim::Agent {
   // When the corresponding feature is off these return empty statics (the
   // per-agent state only exists when some opt-in feature is configured).
   const sim::RetransmitQueue& retransmit_queue() const;
-  const sim::DedupLog& dedup_log() const;
   const gossip::ViewHygiene& hygiene() const;
 
  private:
@@ -85,24 +84,21 @@ class WhatsUpAgent : public sim::Agent {
   // hygiene suspicion limit.
   void pump_retransmissions(sim::Context& ctx);
 
-  // Disclosed-profile accessor: the cached obfuscated snapshot when
-  // obfuscation is on, the true profile otherwise.
+  // The profile this node discloses in outgoing descriptors: the cached
+  // obfuscated snapshot when obfuscation is on, the true profile otherwise.
   const Profile& disclosed(Cycle now);
 
   // State for the opt-in layers (reliability, view hygiene, obfuscation),
   // allocated only when at least one of them is configured on. The
   // baseline protocol never touches any of it, and at the million-node
-  // scale the inline members (~600 B/agent: retransmit queue, dedup log,
-  // hygiene table, cached obfuscated Profile) were a significant slice of
-  // the per-node footprint in runs that enable none of them.
+  // scale the inline members (retransmit queue, hygiene table, cached
+  // obfuscated Profile) were a significant slice of the per-node footprint
+  // in runs that enable none of them.
   struct OptInState {
     explicit OptInState(const WhatsUpConfig& config)
-        : retx(config.reliability),
-          dedup(config.reliability.dedup_capacity),
-          hygiene(config.hygiene) {}
+        : retx(config.reliability), hygiene(config.hygiene) {}
 
     sim::RetransmitQueue retx;     // reliability layer
-    sim::DedupLog dedup;           // duplicate classification (reliability)
     gossip::ViewHygiene hygiene;   // failure-aware view hygiene
     // Rebuilds the disclosed snapshot only when the profile version or the
     // obfuscation epoch changes (perf only; see docs/perf.md).

@@ -47,14 +47,14 @@ class ClusteringAgent : public sim::Agent {
 
   void on_cycle(sim::Context& ctx) override {
     rps_.step(ctx, profile_);
-    wup_.step(ctx, profile_, rps_.view());
+    wup_.step(ctx, rps_.view(), profile_);
   }
   void on_message(sim::Context& ctx, const net::Message& m) override {
     switch (m.type) {
       case net::MsgType::kRpsRequest: rps_.on_request(ctx, m.view(), profile_); break;
       case net::MsgType::kRpsReply: rps_.on_reply(ctx, m.view()); break;
       case net::MsgType::kWupRequest:
-        wup_.on_request(ctx, m.view(), profile_, rps_.view());
+        wup_.on_request(ctx, m.view(), profile_, rps_.view(), profile_);
         break;
       case net::MsgType::kWupReply:
         wup_.on_reply(ctx, m.view(), profile_, rps_.view());

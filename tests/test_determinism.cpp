@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/experiments.hpp"
 #include "analysis/runner.hpp"
 #include "dataset/survey.hpp"
 #include "metrics/tracker.hpp"
@@ -572,6 +573,50 @@ TEST(Determinism, ShardWidthDoesNotChangeTrackerState) {
     return tracker.digest();
   };
   EXPECT_EQ(run_width(8), run_width(64));
+}
+
+// Golden trajectories for the opt-in protocol layers: per-cycle digests of
+// one fixed deployment, plain, with profile obfuscation, and with
+// obfuscation plus the PlanetLab fault model, the ack/retransmit layer and
+// view hygiene. The other tests here compare runs with each other; these
+// pin the trajectory itself, so a refactor of the obfuscation,
+// reliability or hygiene paths that changes any message fails here. The
+// expected values depend on libstdc++'s hash-table layout (the simulator
+// still iterates some unordered containers) until the trajectories are
+// made layout-independent and re-baselined (ROADMAP, determinism).
+std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t d : digests) {
+    h ^= d;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Determinism, OptInLayersGoldenDigests) {
+  const data::Workload workload = analysis::standard_workload("survey", 7, 0.2);
+  analysis::RunConfig config = analysis::default_run_config(11);
+  config.threads = 2;
+  config.collect_cycle_digests = true;
+  const auto golden = [&]() {
+    const analysis::RunResult result = analysis::run_protocol(workload, config);
+    EXPECT_EQ(result.cycle_digests.size(),
+              static_cast<std::size_t>(config.total_cycles()));
+    return fold_digests(result.cycle_digests);
+  };
+
+  EXPECT_EQ(golden(), 0x984dfe3fd8b7f83bull) << "plain";
+
+  config.obfuscation.flip_prob = 0.3;
+  config.obfuscation.drop_prob = 0.1;
+  EXPECT_EQ(golden(), 0xd06f3798573a94c7ull) << "obfuscation";
+
+  config.network = net::NetworkConfig::planetlab_faults();
+  config.reliability.enabled = true;
+  config.view_hygiene.max_age = 20;
+  config.view_hygiene.suspicion_limit = 2;
+  EXPECT_EQ(golden(), 0x6257e8200ba1980aull)
+      << "obfuscation + planetlab_faults + reliability + hygiene";
 }
 
 }  // namespace

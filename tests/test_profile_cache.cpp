@@ -135,27 +135,38 @@ TEST(ProfileCache, FoldProfileMatchesPerEntryFolds) {
   }
 }
 
-TEST(SnapshotCache, ReusesSnapshotUntilVersionChanges) {
+TEST(SnapshotCache, StampReusedPerCycleAndVersion) {
+  const SnapshotArena& arena = SnapshotArena::instance();
   ProfileSnapshotCache cache;
   Profile p;
   p.set(1, 0, 1.0);
-  const auto s1 = cache.get(p);
-  const auto s2 = cache.get(p);
-  EXPECT_EQ(s1.record(), s2.record());  // shared, not re-encoded
-  EXPECT_EQ(s1.materialize(), p);
-  p.set(2, 0, 0.0);
-  const auto s3 = cache.get(p);
-  EXPECT_NE(s3.record(), s1.record());
-  EXPECT_EQ(s3.materialize(), p);
-  EXPECT_EQ(s1.materialize(),
-            (([] { Profile q; q.set(1, 0, 1.0); return q; })()));  // immutable
-}
+  const DescriptorRef first = cache.stamp(4, p);
+  const std::size_t stamps = arena.stats().stamps.live;
 
-TEST(SnapshotCache, EmptyProfilesShareOneSnapshot) {
-  ProfileSnapshotCache cache_a, cache_b;
-  const Profile empty_a, empty_b;
-  EXPECT_EQ(cache_a.get(empty_a).record(), cache_b.get(empty_b).record());
-  EXPECT_EQ(cache_a.get(empty_a).record(), empty_profile_handle().record());
+  // Same (cycle, version): the same stamp record, no new one.
+  const DescriptorRef again = cache.stamp(4, p);
+  EXPECT_EQ(arena.stats().stamps.live, stamps);
+  EXPECT_EQ(again.timestamp(), 4);
+  EXPECT_EQ(again.profile().record(), first.profile().record());
+
+  // Next cycle: a new timestamp on the same blob.
+  const DescriptorRef next = cache.stamp(5, p);
+  EXPECT_EQ(arena.stats().stamps.live, stamps + 1);
+  EXPECT_EQ(next.timestamp(), 5);
+  EXPECT_EQ(next.profile().record(), first.profile().record());
+
+  // New version: a new blob with the new contents; the old one is immutable.
+  p.set(2, 0, 0.0);
+  const DescriptorRef changed = cache.stamp(5, p);
+  EXPECT_NE(changed.profile().record(), first.profile().record());
+  EXPECT_EQ(changed.materialize(), p);
+  EXPECT_EQ(first.materialize(),
+            (([] { Profile q; q.set(1, 0, 1.0); return q; })()));
+
+  // Empty profiles stamp the shared empty snapshot.
+  ProfileSnapshotCache empty_cache;
+  EXPECT_EQ(empty_cache.stamp(5, Profile{}).profile().record(),
+            empty_profile_handle().record());
 }
 
 TEST(ObfuscationCache, MatchesDirectObfuscation) {

@@ -1,4 +1,4 @@
-// Reliability layer: dedup-log and retransmit-queue unit semantics
+// Reliability layer: retransmit-queue unit semantics
 // (backoff schedule, retry exhaustion, ack loss, overflow), engine-level
 // crash/recovery, Gilbert–Elliott bursty loss, view hygiene, and the
 // headline robustness claim — under ~20% bursty loss, enabling the
@@ -17,35 +17,6 @@
 
 namespace whatsup {
 namespace {
-
-// ---- DedupLog -------------------------------------------------------------
-
-TEST(DedupLog, DetectsExactCopyRepeats) {
-  sim::DedupLog log(8);
-  EXPECT_FALSE(log.seen_or_insert(101, 2));
-  EXPECT_TRUE(log.seen_or_insert(101, 2));  // same (item, hop): duplicate
-  EXPECT_FALSE(log.seen_or_insert(101, 3));  // same item, other hop: fresh copy
-  EXPECT_FALSE(log.seen_or_insert(202, 2));
-  EXPECT_EQ(log.size(), 3u);
-}
-
-TEST(DedupLog, EvictsFifoAtCapacity) {
-  sim::DedupLog log(2);
-  EXPECT_FALSE(log.seen_or_insert(1, 0));
-  EXPECT_FALSE(log.seen_or_insert(2, 0));
-  EXPECT_FALSE(log.seen_or_insert(3, 0));  // evicts (1, 0)
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_FALSE(log.seen_or_insert(1, 0));  // forgotten, re-inserted
-  EXPECT_TRUE(log.seen_or_insert(3, 0));   // still remembered
-}
-
-TEST(DedupLog, ClearForgetsEverything) {
-  sim::DedupLog log(4);
-  log.seen_or_insert(7, 1);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.seen_or_insert(7, 1));
-}
 
 // ---- RetransmitQueue ------------------------------------------------------
 
