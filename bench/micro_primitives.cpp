@@ -131,10 +131,10 @@ BENCHMARK(BM_DescriptorDeepCopy);
 
 // ---- Compact profile codec (profile/compact.hpp) --------------------------
 //
-// The storage layer under every descriptor: varint-delta encode of a
-// profile into an interned record, and decode-on-demand into thread-local
-// SoA scratch. The scratch ring caches by version, so the *_Materialize
-// row alternates two generations to defeat the cache and pay the decode.
+// The storage layer under every descriptor: encode of a profile into a
+// record (raw ids, score mask, delta-coded timestamps), the by-value decode
+// that cold paths pay, and the in-place WUP score the hot paths run
+// against a record (against a user profile of the same size).
 void BM_CompactEncode(benchmark::State& state) {
   Rng rng(8);
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -146,22 +146,30 @@ void BM_CompactEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactEncode)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_CompactMaterialize(benchmark::State& state) {
+void BM_CompactDecode(benchmark::State& state) {
   Rng rng(8);
   const auto size = static_cast<std::size_t>(state.range(0));
-  // More generations than scratch slots: every materialize decodes.
-  std::vector<ProfileHandle> handles;
-  for (int i = 0; i < 6; ++i) {
-    handles.push_back(ProfileHandle::snapshot(random_profile(rng, size, 4 * size)));
-  }
-  std::size_t i = 0;
+  const ProfileHandle handle =
+      ProfileHandle::snapshot(random_profile(rng, size, 4 * size));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(handles[i % handles.size()].materialize().size());
-    ++i;
+    benchmark::DoNotOptimize(handle.decode());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CompactMaterialize)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_CompactDecode)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_CompactScoreInPlace(benchmark::State& state) {
+  Rng rng(8);
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const Profile subject = random_profile(rng, size, 4 * size);
+  const ProfileHandle handle =
+      ProfileHandle::snapshot(random_profile(rng, size, 4 * size));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(similarity(Metric::kWup, subject, handle.view()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompactScoreInPlace)->Arg(16)->Arg(64)->Arg(256);
 
 // ---- News payload replication (BEEP fan-out, §III) ------------------------
 //

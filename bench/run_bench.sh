@@ -88,9 +88,9 @@ fi
 
 # One short instrumented run (src/obs/ registry) so every baseline carries
 # a protocol-level stats summary next to the timing rows: what the
-# simulation DID (messages delivered/routed, retransmits, scratch hit
-# rate), not just how fast it did it. Untimed — telemetry rides a separate
-# custom row and never touches the rows above.
+# simulation DID (messages delivered/routed, retransmits, similarity
+# evaluations, snapshot decodes), not just how fast it did it. Untimed —
+# telemetry rides a separate custom row and never touches the rows above.
 "$BUILD_DIR/macro_sim" --nodes=500 --items=30 --cycles=60 \
   --benchmark_filter=BM_WhatsUpSim_Custom --benchmark_min_time=0.01 \
   --stats-json="$tmp/stats.json" \
@@ -130,13 +130,10 @@ try:
         for name in (
             "engine.cycles", "engine.deliver.messages", "engine.route.messages",
             "engine.deliver.overflow_dropped", "relia.retransmits",
-            "profile.scratch.hits", "profile.scratch.misses",
+            "profile.similarity.evals", "profile.decodes",
             "tracker.resident_bytes", "engine.mem.total_bytes",
         )
     }
-    hits, misses = summary["profile.scratch.hits"], summary["profile.scratch.misses"]
-    if hits + misses:
-        summary["profile.scratch.hit_rate"] = round(hits / (hits + misses), 4)
     merged["stats_summary"] = summary
     print("  stats_summary:", json.dumps(summary))
 except (OSError, KeyError, json.JSONDecodeError) as e:

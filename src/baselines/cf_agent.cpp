@@ -16,20 +16,20 @@ void CfAgent::bootstrap_rps(std::vector<net::Descriptor> seed) {
 
 void CfAgent::on_cycle(sim::Context& ctx) {
   profile_.purge_older_than(ctx.now() - params_.profile_window);
-  rps_.step(ctx, profile_);
-  knn_.step(ctx, rps_.view(), profile_);
+  rps_.step(ctx, profile_, snapshots_);
+  knn_.step(ctx, rps_.view(), profile_, snapshots_);
 }
 
 void CfAgent::on_message(sim::Context& ctx, const net::Message& message) {
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      rps_.on_request(ctx, message.view(), profile_);
+      rps_.on_request(ctx, message.view(), profile_, snapshots_);
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      knn_.on_request(ctx, message.view(), profile_, rps_.view(), profile_);
+      knn_.on_request(ctx, message.view(), profile_, rps_.view(), profile_, snapshots_);
       break;
     case net::MsgType::kWupReply:
       knn_.on_reply(ctx, message.view(), profile_, rps_.view());

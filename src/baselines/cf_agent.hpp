@@ -40,6 +40,7 @@ class CfAgent : public sim::Agent {
   Profile profile_;
   gossip::Rps rps_;
   gossip::ClusteringProtocol knn_;
+  ProfileSnapshotCache snapshots_;  // shared by rps_ and knn_
   std::unordered_set<ItemId> seen_;
 };
 

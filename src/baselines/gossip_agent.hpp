@@ -33,6 +33,7 @@ class GossipAgent : public sim::Agent {
   const sim::Opinions* opinions_;
   Profile profile_;  // stays empty; RPS descriptors still carry it
   gossip::Rps rps_;
+  ProfileSnapshotCache snapshots_;
   std::unordered_set<ItemId> seen_;
 };
 

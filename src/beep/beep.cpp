@@ -14,7 +14,7 @@ NodeId select_most_similar(const gossip::View& view, const Profile& item_profile
     if (std::find(excluded.begin(), excluded.end(), d.node) != excluded.end()) {
       continue;
     }
-    const double score = similarity(metric, item_profile, d.profile_ref());
+    const double score = similarity(metric, item_profile, d.profile_view());
     if (score > best_score) {
       best_score = score;
       best = d.node;

@@ -1,11 +1,14 @@
 // LEB128 varints and zigzag delta sequence coding — the byte-level layer
-// under the compact profile records (profile/compact.hpp) and the frozen
-// tracker sets (common/hybrid_set.hpp).
+// under the timestamp lanes of compact profile records
+// (profile/compact.hpp), the frozen tracker sets (common/hybrid_set.hpp)
+// and the wire codec (net/wire.hpp).
 //
 // The sequence codec is lossless for ARBITRARY u64 sequences: consecutive
-// differences are taken mod 2^64 and zigzag-mapped, so ascending runs cost
-// ~1 byte per element (item ids are dense and mostly ascending), while
-// non-ascending and duplicate-adjacent inputs still round-trip exactly.
+// differences are taken mod 2^64 and zigzag-mapped, so runs of nearby
+// values cost ~1 byte per element (profile timestamps sit within a window
+// of a few hundred cycles), while non-ascending and duplicate-adjacent
+// inputs still round-trip exactly. It does not pay on item ids: those are
+// 64-bit hashes (make_item_id), whose deltas take 8-10 bytes each.
 // Decoding adds the differences back mod 2^64 — no overflow UB anywhere
 // (all arithmetic is unsigned).
 #pragma once

@@ -14,9 +14,10 @@ void ClusteringProtocol::bootstrap(std::vector<net::Descriptor> seed) {
 }
 
 net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
-                                                  const Profile& disclosed) const {
+                                                  const Profile& disclosed,
+                                                  ProfileSnapshotCache& snapshots) const {
   net::ViewPayload payload;
-  payload.sender = net::Descriptor{self_, snapshot_cache_.stamp(ctx.now(), disclosed)};
+  payload.sender = net::Descriptor{self_, snapshots.stamp(ctx.now(), disclosed)};
   // The ENTIRE view (§II), copied into a pooled buffer recycled from
   // earlier delivered messages.
   payload.view = ctx.acquire_descriptor_buffer();
@@ -25,7 +26,7 @@ net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
 }
 
 void ClusteringProtocol::step(sim::Context& ctx, const View& rps_view,
-                              const Profile& disclosed) {
+                              const Profile& disclosed, ProfileSnapshotCache& snapshots) {
   if (period_ > 1 && ctx.now() % period_ != 0) return;
   NodeId to = kNoNode;
   if (const net::Descriptor* oldest = view_.oldest(); oldest != nullptr) {
@@ -34,13 +35,15 @@ void ClusteringProtocol::step(sim::Context& ctx, const View& rps_view,
     to = rps_view.random_member(ctx.rng());  // bootstrap out of an empty view
   }
   if (to == kNoNode) return;
-  ctx.send(to, net::MsgType::kWupRequest, make_payload(ctx, disclosed));
+  ctx.send(to, net::MsgType::kWupRequest, make_payload(ctx, disclosed, snapshots));
 }
 
 void ClusteringProtocol::on_request(sim::Context& ctx, const net::ViewPayload& payload,
                                     const Profile& own_profile, const View& rps_view,
-                                    const Profile& disclosed) {
-  ctx.send(payload.sender.node, net::MsgType::kWupReply, make_payload(ctx, disclosed));
+                                    const Profile& disclosed,
+                                    ProfileSnapshotCache& snapshots) {
+  ctx.send(payload.sender.node, net::MsgType::kWupReply,
+           make_payload(ctx, disclosed, snapshots));
   merge(ctx, payload, own_profile, rps_view);
 }
 
@@ -62,7 +65,7 @@ double ClusteringProtocol::avg_similarity(const Profile& own_profile) const {
   if (view_.empty()) return 0.0;
   double total = 0.0;
   for (const net::Descriptor& d : view_.entries()) {
-    total += similarity(metric_, own_profile, d.profile_ref());
+    total += similarity(metric_, own_profile, d.profile_view());
   }
   return total / static_cast<double>(view_.size());
 }

@@ -29,15 +29,17 @@ class ClusteringProtocol {
   // Active thread; `rps_view` provides the fallback gossip target while the
   // WUP view is still empty. `disclosed` is the profile shipped in outgoing
   // descriptors: the obfuscated snapshot under profile obfuscation (§VII),
-  // otherwise the node's true profile.
-  void step(sim::Context& ctx, const View& rps_view, const Profile& disclosed);
+  // otherwise the node's true profile. `snapshots` is the node's stamp
+  // cache, shared with its RPS layer (see Rps::step).
+  void step(sim::Context& ctx, const View& rps_view, const Profile& disclosed,
+            ProfileSnapshotCache& snapshots);
 
   // Passive thread and reply: `own_profile` drives the similarity-based
   // view selection (always the node's TRUE profile); `rps_view` feeds
   // fresh random candidates into the merge.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,
                   const Profile& own_profile, const View& rps_view,
-                  const Profile& disclosed);
+                  const Profile& disclosed, ProfileSnapshotCache& snapshots);
   void on_reply(sim::Context& ctx, const net::ViewPayload& payload,
                 const Profile& own_profile, const View& rps_view);
 
@@ -48,7 +50,8 @@ class ClusteringProtocol {
  private:
   // Takes the context to stamp the send cycle and to draw a pooled payload
   // buffer from the executing shard.
-  net::ViewPayload make_payload(sim::Context& ctx, const Profile& disclosed) const;
+  net::ViewPayload make_payload(sim::Context& ctx, const Profile& disclosed,
+                                ProfileSnapshotCache& snapshots) const;
   void merge(sim::Context& ctx, const net::ViewPayload& payload,
              const Profile& own_profile, const View& rps_view);
 
@@ -56,12 +59,9 @@ class ClusteringProtocol {
   View view_;
   Metric metric_;
   Cycle period_;
-  // Hot-path cache (perf only — see docs/perf.md): outgoing descriptors
-  // reuse one immutable snapshot until the disclosed profile's version
-  // changes. View merges and convergence probes score every descriptor
-  // afresh: a score memo hit ~11% of lookups and cost more than it saved
-  // (docs/perf.md, "The similarity memo, removed").
-  mutable ProfileSnapshotCache snapshot_cache_;
+  // View merges and convergence probes score every descriptor afresh, in
+  // place on its snapshot record: a score memo hit ~11% of lookups and
+  // cost more than it saved (docs/perf.md, "The similarity memo, removed").
 };
 
 }  // namespace whatsup::gossip

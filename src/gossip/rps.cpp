@@ -12,15 +12,10 @@ void Rps::bootstrap(std::vector<net::Descriptor> seed) {
   }
 }
 
-net::Descriptor Rps::self_descriptor(Cycle now, const Profile& own_profile) const {
-  // The cache reuses one stamp record while (version, cycle) is unchanged,
-  // so repeated sends within a cycle share the arena entry.
-  return net::Descriptor{self_, snapshot_cache_.stamp(now, own_profile)};
-}
-
-net::ViewPayload Rps::make_payload(sim::Context& ctx, const Profile& own_profile) {
+net::ViewPayload Rps::make_payload(sim::Context& ctx, const Profile& own_profile,
+                                   ProfileSnapshotCache& snapshots) {
   net::ViewPayload payload;
-  payload.sender = self_descriptor(ctx.now(), own_profile);
+  payload.sender = net::Descriptor{self_, snapshots.stamp(ctx.now(), own_profile)};
   // Half of the view, as is typical for peer-sampling exchanges (§II),
   // built in a pooled buffer recycled from earlier delivered messages.
   payload.view = ctx.acquire_descriptor_buffer();
@@ -28,17 +23,19 @@ net::ViewPayload Rps::make_payload(sim::Context& ctx, const Profile& own_profile
   return payload;
 }
 
-void Rps::step(sim::Context& ctx, const Profile& own_profile) {
+void Rps::step(sim::Context& ctx, const Profile& own_profile,
+               ProfileSnapshotCache& snapshots) {
   if (period_ > 1 && ctx.now() % period_ != 0) return;
   const net::Descriptor* target = view_.oldest();
   if (target == nullptr) return;
   const NodeId to = target->node;
-  ctx.send(to, net::MsgType::kRpsRequest, make_payload(ctx, own_profile));
+  ctx.send(to, net::MsgType::kRpsRequest, make_payload(ctx, own_profile, snapshots));
 }
 
 void Rps::on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                     const Profile& own_profile) {
-  ctx.send(payload.sender.node, net::MsgType::kRpsReply, make_payload(ctx, own_profile));
+                     const Profile& own_profile, ProfileSnapshotCache& snapshots) {
+  ctx.send(payload.sender.node, net::MsgType::kRpsReply,
+           make_payload(ctx, own_profile, snapshots));
   merge(ctx, payload);
 }
 

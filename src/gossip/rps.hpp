@@ -26,24 +26,24 @@ class Rps {
   // Active thread: run once per cycle; gossips every `period` cycles.
   // `own_profile` is the profile DISCLOSED in the gossiped descriptor —
   // privacy-conscious nodes pass an obfuscated snapshot (§VII).
-  void step(sim::Context& ctx, const Profile& own_profile);
+  // `snapshots` is the node's stamp cache, shared with its other gossip
+  // protocols; it is stamped only when a message actually goes out.
+  void step(sim::Context& ctx, const Profile& own_profile,
+            ProfileSnapshotCache& snapshots);
 
   // Passive thread.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                  const Profile& own_profile);
+                  const Profile& own_profile, ProfileSnapshotCache& snapshots);
   void on_reply(sim::Context& ctx, const net::ViewPayload& payload);
 
  private:
-  net::Descriptor self_descriptor(Cycle now, const Profile& own_profile) const;
-  net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile);
+  net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile,
+                                ProfileSnapshotCache& snapshots);
   void merge(sim::Context& ctx, const net::ViewPayload& payload);
 
   NodeId self_;
   View view_;
   Cycle period_;
-  // Outgoing descriptors share one immutable snapshot until the disclosed
-  // profile's version changes (perf only; see docs/perf.md).
-  mutable ProfileSnapshotCache snapshot_cache_;
 };
 
 }  // namespace whatsup::gossip

@@ -100,7 +100,7 @@ void View::assign_closest(std::vector<net::Descriptor> candidates, const Profile
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.emplace_back(similarity(metric, own_profile, candidates[i].profile_ref()), i);
+    scored.emplace_back(similarity(metric, own_profile, candidates[i].profile_view()), i);
   }
   // (descending score, ascending shuffled position) is a strict total order
   // — exactly the ranking the seed's shuffle + stable_sort produced — so

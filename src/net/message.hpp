@@ -62,14 +62,16 @@ struct Descriptor {
 
   Cycle timestamp() const { return entry_.timestamp(); }
   bool has_profile() const { return entry_.has_profile(); }
-  // Snapshot header reads that do NOT decode.
+  // Snapshot entry count, read without touching the snapshot record.
   std::size_t profile_size() const { return entry_.profile_size(); }
-  std::uint64_t profile_version() const { return entry_.profile_version(); }
   // Retained handle on the snapshot (cold paths; null if !has_profile()).
   ProfileHandle profile() const { return entry_.profile(); }
-  // Decoded SoA view of the snapshot (thread-local scratch; see
-  // ProfileHandle::materialize for the lifetime contract).
-  const Profile& profile_ref() const { return entry_.materialize(); }
+  // In-place scoring view of the snapshot (the similarity hot paths);
+  // valid while this descriptor is held.
+  ProfileView profile_view() const { return entry_.view(); }
+  // Decoded copy of the snapshot, by value (cold paths: cold start, tests,
+  // kernel probes).
+  Profile profile_ref() const { return entry_.profile().decode(); }
 
  private:
   DescriptorRef entry_;

@@ -33,11 +33,42 @@ std::uint32_t get_u32le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-bool binary_scores(std::span<const double> scores) {
-  for (double s : scores) {
-    if (s != 0.0 && s != 1.0) return false;
+// Shared by both encode_profile overloads: `scores` reads the lanes of a
+// decoded Profile or a snapshot record's score mask alike.
+void encode_entries(std::vector<std::uint8_t>& out, const ProfileView& scores,
+                    std::span<const Cycle> timestamps) {
+  const std::size_t n = scores.size;
+  wire_varint(out, n);
+  if (n == 0) return;
+  ItemId prev_id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    wire_varint(out, scores.ids[i] - prev_id);
+    prev_id = scores.ids[i];
   }
-  return true;
+  std::int64_t prev_ts = 0;
+  for (Cycle ts : timestamps) {
+    wire_zigzag(out, static_cast<std::int64_t>(ts) - prev_ts);
+    prev_ts = ts;
+  }
+  bool binary = true;
+  for (std::size_t i = 0; i < n && binary; ++i) {
+    const double s = scores.score(i);
+    binary = s == 0.0 || s == 1.0;
+  }
+  wire_u8(out, binary ? 1 : 0);
+  if (binary) {
+    std::uint8_t bits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (scores.score(i) == 1.0) bits |= static_cast<std::uint8_t>(1u << (i % 8));
+      if (i % 8 == 7) {
+        out.push_back(bits);
+        bits = 0;
+      }
+    }
+    if (n % 8 != 0) out.push_back(bits);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) wire_f64(out, scores.score(i));
+  }
 }
 
 }  // namespace
@@ -51,36 +82,14 @@ bool binary_scores(std::span<const double> scores) {
 // user profiles cost ~2-3 bytes per entry on the wire.
 
 void encode_profile(std::vector<std::uint8_t>& out, const Profile& profile) {
-  const auto ids = profile.ids();
-  const auto timestamps = profile.timestamps();
-  const auto scores = profile.scores();
-  wire_varint(out, ids.size());
-  if (ids.empty()) return;
-  ItemId prev_id = 0;
-  for (ItemId id : ids) {
-    wire_varint(out, id - prev_id);
-    prev_id = id;
-  }
-  std::int64_t prev_ts = 0;
-  for (Cycle ts : timestamps) {
-    wire_zigzag(out, static_cast<std::int64_t>(ts) - prev_ts);
-    prev_ts = ts;
-  }
-  const bool binary = binary_scores(scores);
-  wire_u8(out, binary ? 1 : 0);
-  if (binary) {
-    std::uint8_t bits = 0;
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      if (scores[i] == 1.0) bits |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        out.push_back(bits);
-        bits = 0;
-      }
-    }
-    if (scores.size() % 8 != 0) out.push_back(bits);
-  } else {
-    for (double s : scores) wire_f64(out, s);
-  }
+  encode_entries(out, profile, profile.timestamps());
+}
+
+void encode_profile(std::vector<std::uint8_t>& out, const CompactProfile& record) {
+  SmallVector<Cycle, 16> timestamps;
+  timestamps.resize(record.size());
+  record.timestamps_into(timestamps.data());
+  encode_entries(out, record.view(), {timestamps.data(), timestamps.size()});
 }
 
 bool decode_profile(WireReader& r, Profile& out) {
@@ -134,7 +143,7 @@ void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d) {
     return;
   }
   wire_u8(out, 1);
-  encode_profile(out, d.profile_ref());
+  encode_profile(out, *d.profile().record());
 }
 
 bool decode_descriptor(WireReader& r, Descriptor& out) {

@@ -129,6 +129,8 @@ inline constexpr std::size_t kMaxWireViewEntries = 1u << 16;
 // fresh local version stamp; cached norm and liked count are recomputed
 // and bit-equal to the source's (same entries, same left-to-right order).
 void encode_profile(std::vector<std::uint8_t>& out, const Profile& profile);
+// Same bytes, encoded straight from a snapshot record (descriptors).
+void encode_profile(std::vector<std::uint8_t>& out, const CompactProfile& record);
 bool decode_profile(WireReader& r, Profile& out);
 
 void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d);

@@ -17,8 +17,8 @@
 //    reads race-free.
 //  * The disabled path is one relaxed atomic load and a predictable
 //    branch; no clocks are read and no TLS is touched, so `--stats` off
-//    costs nothing measurable even at scratch-lookup call rates (~1e8
-//    calls per macro run).
+//    costs nothing measurable even at similarity-evaluation call rates
+//    (tens of millions of calls per macro run).
 //
 // Canonical output: `Registry::snapshot()` merges lanes in acquisition
 // order and emits metrics sorted by name, so two runs that performed the

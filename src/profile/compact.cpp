@@ -1,10 +1,10 @@
 #include "profile/compact.hpp"
 
-#include <bit>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include "common/varint.hpp"
+#include "obs/registry.hpp"
 
 namespace whatsup {
 
@@ -13,6 +13,12 @@ namespace {
 // Scratch staging for the sign-extended timestamp lanes (stack for the
 // common small profile, heap spill only for window-sized ones).
 using WideArray = SmallVector<std::uint64_t, Profile::kInlineEntries * 2>;
+
+// Byte sink writing into a record's pre-sized word buffer.
+struct ByteCursor {
+  std::uint8_t* p;
+  void push_back(std::uint8_t b) { *p++ = b; }
+};
 
 bool all_binary(std::span<const double> scores) {
   for (const double s : scores) {
@@ -30,6 +36,11 @@ std::uint64_t fnv1a64(std::uint64_t h, const std::uint8_t* bytes,
   return h;
 }
 
+obs::MetricId decodes_metric() {
+  static const obs::MetricId id = obs::counter("profile.decodes");
+  return id;
+}
+
 }  // namespace
 
 void CompactProfile::init_from(const Profile& profile) {
@@ -42,8 +53,7 @@ void CompactProfile::init_from(const Profile& profile) {
   const std::span<const ItemId> ids = profile.ids();
   const std::span<const Cycle> timestamps = profile.timestamps();
   const std::span<const double> scores = profile.scores();
-  const bool binary = all_binary(scores);
-  flags_ = binary ? kBinaryScores : 0;
+  flags_ = all_binary(scores) ? kBinaryScores : 0;
 
   WideArray wide;
   wide.resize(n);
@@ -51,94 +61,62 @@ void CompactProfile::init_from(const Profile& profile) {
     wide[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(timestamps[i]));
   }
 
-  SmallVector<std::uint8_t, kInlineBytes>& out = bytes_;
-  const std::size_t score_bytes = binary ? (n + 7) / 8 : n * sizeof(double);
-  out.reserve(delta_encoded_size(ids.data(), n) +
-              delta_encoded_size(wide.data(), n) + score_bytes);
-  delta_encode(out, ids.data(), n);
-  delta_encode(out, wide.data(), n);
-  if (binary) {
-    for (std::size_t base = 0; base < n; base += 8) {
-      std::uint8_t mask = 0;
-      for (std::size_t bit = 0; bit < 8 && base + bit < n; ++bit) {
-        if (scores[base + bit] == 1.0) mask |= static_cast<std::uint8_t>(1u << bit);
-      }
-      out.push_back(mask);
+  const std::size_t lane_bytes = n * sizeof(ItemId) + score_bytes();
+  const std::size_t total = lane_bytes + delta_encoded_size(wide.data(), n);
+  words_.resize((total + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t));
+  std::memcpy(words_.data(), ids.data(), n * sizeof(ItemId));
+  auto* lanes = reinterpret_cast<std::uint8_t*>(words_.data() + n);
+  if (binary()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (scores[i] == 1.0) lanes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto word = std::bit_cast<std::uint64_t>(scores[i]);
-      for (std::size_t b = 0; b < sizeof(double); ++b) {
-        out.push_back(static_cast<std::uint8_t>(word >> (8 * b)));
-      }
-    }
+    std::memcpy(lanes, scores.data(), n * sizeof(double));
   }
+  ByteCursor cursor{reinterpret_cast<std::uint8_t*>(words_.data()) + lane_bytes};
+  delta_encode(cursor, wide.data(), n);
 }
 
 ProfileHandle CompactProfile::encode(const Profile& profile) {
   return SnapshotArena::instance().encode_detached(profile);
 }
 
-void CompactProfile::decode_into(Profile& out) const {
+void CompactProfile::timestamps_into(Cycle* out) const {
   const std::size_t n = count_;
-  out.ids_.resize(n);
-  out.timestamps_.resize(n);
-  out.scores_.resize(n);
-  const std::uint8_t* p = bytes_.data();
-  delta_decode(p, out.ids_.data(), n);
+  const std::uint8_t* p = score_lanes() + score_bytes();
   WideArray wide;
   wide.resize(n);
   delta_decode(p, wide.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.timestamps_[i] = static_cast<Cycle>(static_cast<std::int64_t>(wide[i]));
+    out[i] = static_cast<Cycle>(static_cast<std::int64_t>(wide[i]));
   }
-  if ((flags_ & kBinaryScores) != 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.scores_[i] = (p[i / 8] >> (i % 8)) & 1u ? 1.0 : 0.0;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t word = 0;
-      std::memcpy(&word, p + i * sizeof(double), sizeof(double));
-      out.scores_[i] = std::bit_cast<double>(word);
-    }
-  }
+}
+
+Profile CompactProfile::decode() const {
+  if (obs::enabled()) [[unlikely]] obs::add(decodes_metric());
+  const std::size_t n = count_;
+  Profile out;
+  out.ids_.resize(n);
+  out.timestamps_.resize(n);
+  out.scores_.resize(n);
+  const ProfileView v = view();
+  std::memcpy(out.ids_.data(), v.ids, n * sizeof(ItemId));
+  for (std::size_t i = 0; i < n; ++i) out.scores_[i] = v.score(i);
+  timestamps_into(out.timestamps_.data());
   out.liked_ = liked_;
   out.version_ = version_;
   out.cached_norm_ = norm_;
   out.norm_dirty_ = false;
-}
-
-// The decode scratch itself lives in compact.hpp (detail::scratch_lookup):
-// a per-thread direct-mapped cache of SoA Profiles keyed by the record
-// version. The working set is every snapshot generation a scoring sweep
-// touches — NOT the ~50 candidates of one merge, but every generation
-// still alive in some view across the whole deployment, since scoring
-// sweeps revisit shared candidates node after node. A handful of slots
-// measures a ~0% hit rate and puts varint decode at the top of the profile
-// (~35% of the 500 n × 200 c row, 11M decodes). The slot count is a
-// process-wide knob: the engine derives it from the node count, because
-// the live-generation working set scales with the deployment — the former
-// fixed 8 K slots (~4 MB/thread) priced every small threaded row at the
-// million-node ceiling.
-void set_materialize_scratch_slots(std::size_t slots) {
-  slots = std::bit_ceil(slots);
-  if (slots < kMinMaterializeScratchSlots) slots = kMinMaterializeScratchSlots;
-  if (slots > kMaxMaterializeScratchSlots) slots = kMaxMaterializeScratchSlots;
-  detail::g_scratch_slots.store(slots, std::memory_order_relaxed);
-}
-
-std::size_t materialize_scratch_slots() {
-  return detail::g_scratch_slots.load(std::memory_order_relaxed);
-}
-
-std::size_t materialize_scratch_bytes_per_thread() {
-  return materialize_scratch_slots() * sizeof(detail::ScratchSlot);
+  return out;
 }
 
 ProfileHandle ProfileHandle::snapshot(const Profile& profile) {
   if (profile.version() == 0) return empty_profile_handle();
   return SnapshotArena::instance().intern(profile);
+}
+
+Profile ProfileHandle::decode() const {
+  return slot_ == kNullArenaIndex ? Profile() : record()->decode();
 }
 
 const ProfileHandle& empty_profile_handle() {
@@ -191,12 +169,10 @@ ArenaIndex SnapshotArena::make_stamp(Cycle timestamp,
   rec->timestamp = timestamp;
   rec->blob = profile.slot();
   rec->size = 0;
-  rec->version = 0;
   if (rec->blob != kNullArenaIndex) {
     const CompactProfile* blob = blob_pool_.get(rec->blob);
     blob->retain();  // the record's own blob reference
     rec->size = static_cast<std::uint32_t>(blob->size());
-    rec->version = blob->version();
   }
   return index;
 }
@@ -251,7 +227,8 @@ ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
                                    record->flags_};
   key = fnv1a64(key, reinterpret_cast<const std::uint8_t*>(header),
                 sizeof(header));
-  key = fnv1a64(key, record->bytes_.data(), record->bytes_.size());
+  key = fnv1a64(key, reinterpret_cast<const std::uint8_t*>(record->words_.data()),
+                record->encoded_bytes());
 
   Shard& shard = content_shards_[key % kShardCount];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -260,7 +237,7 @@ ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
     if (existing->count_ == record->count_ &&
         existing->liked_ == record->liked_ &&
         existing->flags_ == record->flags_ &&
-        existing->bytes_ == record->bytes_) {
+        existing->words_ == record->words_) {
       ++shard.reused;
       existing->retain();
       return ProfileHandle::adopt(it->second);  // `fresh` frees on return

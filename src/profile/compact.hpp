@@ -10,25 +10,23 @@
 // 32-bit index, so the handles themselves shrink pointer → u32 and a whole
 // descriptor packs into 8 bytes (net/message.hpp). Pieces:
 //
-//  * `CompactProfile` — an immutable, losslessly delta-encoded profile
-//    record: varint zigzag deltas for the (ascending, dense) item ids and
-//    the timestamps, and a 1-bit-per-entry mask for binary score vectors
-//    (user profiles are all 0/1; real-valued item-profile scores fall back
-//    to raw 8-byte doubles). The header keeps the source profile's
-//    `version()`, its cached `norm()` and `liked_count()`, so decoding
-//    reproduces a Profile that is bit-indistinguishable from a copy of the
-//    source — which is what keeps fixed-seed digest trajectories identical
-//    under this storage change. Records live in arena slabs, never on the
-//    general heap (only oversized encoded payloads spill).
+//  * `CompactProfile` — an immutable, lossless profile record laid out for
+//    scoring in place: the raw u64 item ids in an 8-byte-aligned buffer,
+//    then a 1-bit-per-entry mask for binary score vectors (user profiles
+//    are all 0/1; real-valued item-profile scores fall back to raw 8-byte
+//    doubles), then varint zigzag deltas of the timestamps, which only cold
+//    paths read. Item ids are 64-bit hashes (make_item_id), whose varint
+//    deltas cost 8-9 bytes each, so the raw id is never larger. The header
+//    keeps the source profile's `version()`, its cached `norm()` and
+//    `liked_count()`. `view()` hands the similarity kernels the ids, mask
+//    or doubles, norm and liked count straight from the record, and scores
+//    bit-identically to the decoded copy — which is what keeps fixed-seed
+//    digest trajectories identical under this storage. `decode()` rebuilds
+//    a Profile that is bit-indistinguishable from a copy of the source
+//    (cold start, tests). Records live in arena slabs, never on the general
+//    heap (only oversized payloads spill).
 //  * `ProfileHandle` — the 4-byte value caches and cold paths hold (an
 //    intrusive refcount on the slab record, addressed by arena index).
-//    `materialize()` decodes on demand into a thread-local direct-mapped
-//    cache of SoA scratch Profiles keyed by version, so the similarity
-//    kernels run on exactly the flat arrays they were built for (the
-//    AVX-512 hot path is untouched). The returned reference stays valid
-//    until the same thread materializes another generation — callers hold
-//    at most one at a time. The scratch cache is sized by the engine from
-//    the node count (set_materialize_scratch_slots below).
 //  * `DescriptorRef` — the tagged 4-byte payload of a packed descriptor:
 //    either an index into the arena's stamp-record pool (a tiny refcounted
 //    {timestamp, profile} pair shared by every copy of one descriptor
@@ -58,7 +56,6 @@
 
 #include "common/ids.hpp"
 #include "common/small_vector.hpp"
-#include "obs/registry.hpp"
 #include "profile/profile.hpp"
 
 namespace whatsup {
@@ -78,21 +75,30 @@ class CompactProfile {
   // intern via ProfileHandle::snapshot / SnapshotArena instead.
   static ProfileHandle encode(const Profile& profile);
 
+  // In-place scoring view (ids, mask or doubles, norm, liked count): what
+  // the hot paths hand the similarity kernels. Valid while the record is.
+  ProfileView view() const;
+
   // Restores the exact source contents (ids/timestamps/scores, version,
-  // liked count, cached norm) into `out`.
-  void decode_into(Profile& out) const;
+  // liked count, cached norm) by value. Cold paths only (cold start,
+  // tests); counted as `profile.decodes`.
+  Profile decode() const;
+
+  // Decodes the timestamp lanes into out[0..size()) (the wire codec).
+  void timestamps_into(Cycle* out) const;
 
   std::size_t size() const { return count_; }
   std::uint64_t version() const { return version_; }
   double norm() const { return norm_; }
   std::size_t liked_count() const { return liked_; }
 
-  // Encoded payload bytes (observability; excludes the record header).
-  std::size_t encoded_bytes() const { return bytes_.size(); }
+  // Payload bytes (observability; excludes the record header).
+  std::size_t encoded_bytes() const { return words_.size() * sizeof(std::uint64_t); }
   // Full resident cost of this record: slab slot + any heap spill.
   std::size_t resident_bytes() const {
     return sizeof(CompactProfile) +
-           (bytes_.capacity() > kInlineBytes ? bytes_.capacity() : 0);
+           (words_.capacity() > kInlineWords ? words_.capacity() * sizeof(std::uint64_t)
+                                             : 0);
   }
 
  private:
@@ -102,16 +108,25 @@ class CompactProfile {
   template <typename Record>
   friend class SlabPool;
 
-  static constexpr std::size_t kInlineBytes = 24;
+  static constexpr std::size_t kInlineWords = 3;
   static constexpr std::uint8_t kBinaryScores = 1;  // flags bit
 
   CompactProfile() = default;
   ~CompactProfile() = default;
 
   // Fills this (freshly constructed) record from `profile`. The norm cache
-  // is warmed (and captured) here, so decoded copies can be shared across
+  // is warmed (and captured) here, so views can be scored from concurrent
   // shard workers without racing on the lazy norm.
   void init_from(const Profile& profile);
+
+  bool binary() const { return (flags_ & kBinaryScores) != 0; }
+  std::size_t score_bytes() const {
+    return binary() ? (count_ + 7) / 8 : count_ * sizeof(double);
+  }
+  // Start of the score lanes (mask bytes or doubles), right after the ids.
+  const std::uint8_t* score_lanes() const {
+    return reinterpret_cast<const std::uint8_t*>(words_.data() + count_);
+  }
 
   // Intrusive reference count: one count per live ProfileHandle (plus one
   // per stamp record referencing this blob, plus one held by an intern
@@ -129,24 +144,24 @@ class CompactProfile {
   std::uint32_t count_ = 0;
   std::uint32_t liked_ = 0;
   std::uint8_t flags_ = 0;
-  // Layout: [id deltas][timestamp deltas][score mask | raw doubles].
-  SmallVector<std::uint8_t, kInlineBytes> bytes_;
+  // Layout, in 8-byte words: [count_ raw ids][score mask bytes | count_
+  // raw doubles][timestamp zigzag-delta varints], the tail zero-padded to
+  // a whole word. Word storage keeps ids and doubles 8-byte aligned.
+  SmallVector<std::uint64_t, kInlineWords> words_;
 };
 
 // A descriptor generation: the timestamp its owner stamped at emission plus
 // the profile snapshot it shipped. Every copy of the descriptor (views,
 // in-flight messages, merge buffers) shares one record by refcount, so the
-// per-copy cost is the 4-byte index, not the record. The snapshot's header
-// fields the hot paths poll — version (materialize-cache key) and entry
-// count (wire-size model) — are denormalized into the record at creation
-// (both immutable on the blob), so a version probe or size query costs one
-// slab lookup instead of chasing stamp → blob across chunks.
+// per-copy cost is the 4-byte index, not the record. The snapshot's entry
+// count (the wire-size model's input) is denormalized into the record at
+// creation (immutable on the blob), so a size query costs one slab lookup
+// instead of chasing stamp → blob across chunks.
 struct StampRecord {
   mutable std::atomic<std::uint32_t> refs{1};
   Cycle timestamp = kNoCycle;
   ArenaIndex blob = kNullArenaIndex;  // kNullArenaIndex: bare address, no snapshot
   std::uint32_t size = 0;             // blob entry count (0 when no blob)
-  std::uint64_t version = 0;          // blob generation (0 when no blob)
 };
 
 // Chunked slab pool: records live in fixed-size chunks addressed by a
@@ -329,14 +344,12 @@ class ProfileHandle {
   // make_shared<const Profile>(profile) everywhere descriptors are built).
   static ProfileHandle snapshot(const Profile& profile);
 
-  // Decodes into thread-local SoA scratch (a direct-mapped cache keyed
-  // by version). Null and empty handles return a shared static empty
-  // Profile. The reference is invalidated by the thread's next
-  // materialize() — hold at most one at a time.
-  const Profile& materialize() const;
+  // In-place scoring view / by-value decode of the record (see
+  // CompactProfile). Null handles yield an empty view / empty Profile.
+  ProfileView view() const;
+  Profile decode() const;
 
-  // Header reads that do NOT decode — the wire-size model and the
-  // materialize cache key off these.
+  // Header reads that do NOT decode (the wire-size model).
   std::size_t size() const;
   bool empty() const { return size() == 0; }
   std::uint64_t version() const;
@@ -398,13 +411,12 @@ class DescriptorRef {
 
   Cycle timestamp() const;
   bool has_profile() const;
-  std::uint64_t profile_version() const;
   std::size_t profile_size() const;
   // Retained handle on the snapshot (cold paths); null when !has_profile().
   ProfileHandle profile() const;
-  // Decoded SoA view (thread-local scratch; see ProfileHandle::materialize
-  // for the lifetime contract). Null refs yield the shared empty Profile.
-  const Profile& materialize() const;
+  // In-place scoring view of the snapshot (see CompactProfile::view); null
+  // refs and profile-less descriptors yield an empty view.
+  ProfileView view() const;
 
   bool is_null() const { return bits_ == kNullBits; }
 
@@ -539,86 +551,6 @@ class SnapshotArena {
   std::atomic<std::uint64_t> epoch_{0};
 };
 
-// ---- materialize scratch sizing -------------------------------------------
-//
-// The thread-local materialize cache is direct-mapped over `slots` entries
-// (~0.5 KB each). The engine derives the slot count from the node count —
-// the live-generation working set a scoring sweep touches scales with the
-// deployment, so a 500-node run no longer pays the 8 K-slot (≈4 MB/thread)
-// ceiling sized for million-node sweeps. Takes effect on each thread's
-// next materialize(); resizing clears that thread's cache (a perf-only
-// event: decode is deterministic).
-inline constexpr std::size_t kMinMaterializeScratchSlots = 1024;
-inline constexpr std::size_t kMaxMaterializeScratchSlots = 8192;
-void set_materialize_scratch_slots(std::size_t slots);
-std::size_t materialize_scratch_slots();
-// Resident bytes of one thread's scratch cache at the current slot count
-// (slot headers + inline Profile storage; decoded heap spill excluded).
-std::size_t materialize_scratch_bytes_per_thread();
-
-// ---- materialize scratch (header-inline: the similarity hot path) ---------
-//
-// Implementation detail of ProfileHandle::materialize / DescriptorRef::
-// materialize, placed in the header so the ~10^7-per-run probe sequence
-// (slot index, version compare, return) inlines into the scoring loops.
-// The out-of-line path is decode_into, which only runs on a scratch miss.
-namespace detail {
-
-// Process-wide slot-count knob (see set_materialize_scratch_slots).
-inline std::atomic<std::size_t> g_scratch_slots{kMaxMaterializeScratchSlots};
-
-struct ScratchSlot {
-  std::uint64_t version = 0;  // 0 = vacant (empty profiles never enter)
-  Profile profile;
-};
-
-// Shared static empty Profile: what null/empty snapshots materialize to.
-inline const Profile& static_empty_profile() {
-  static const Profile kEmpty;
-  return kEmpty;
-}
-
-inline std::vector<ScratchSlot>& scratch_slots() {
-  thread_local std::vector<ScratchSlot> slots;
-  const std::size_t want = g_scratch_slots.load(std::memory_order_relaxed);
-  if (slots.size() != want) [[unlikely]] {
-    slots.clear();
-    slots.resize(want);  // resize clears versions: a perf-only event
-  }
-  return slots;
-}
-
-// Scratch hit/miss counters (the PR 7 cache-sizing cliff, made directly
-// observable). Registered lazily so the ~1e8-call hot path below pays the
-// static-init guard only when stats are enabled.
-inline obs::MetricId scratch_hit_metric() {
-  static const obs::MetricId id = obs::counter("profile.scratch.hits");
-  return id;
-}
-inline obs::MetricId scratch_miss_metric() {
-  static const obs::MetricId id = obs::counter("profile.scratch.misses");
-  return id;
-}
-
-// Direct-mapped probe keyed by snapshot version; `decode` fills the slot on
-// a miss. Versions come from one global counter (dense), so
-// version & (slots-1) distributes uniformly.
-template <typename DecodeFn>
-inline const Profile& scratch_lookup(std::uint64_t version, DecodeFn&& decode) {
-  std::vector<ScratchSlot>& slots = scratch_slots();
-  ScratchSlot& slot = slots[version & (slots.size() - 1)];
-  if (slot.version != version) [[unlikely]] {
-    if (obs::enabled()) obs::add(scratch_miss_metric());
-    decode(slot.profile);
-    slot.version = version;
-  } else if (obs::enabled()) [[unlikely]] {
-    obs::add(scratch_hit_metric());
-  }
-  return slot.profile;
-}
-
-}  // namespace detail
-
 // ---- inline definitions ---------------------------------------------------
 
 inline SnapshotArena& SnapshotArena::instance() {
@@ -686,11 +618,6 @@ inline bool DescriptorRef::has_profile() const {
   return is_record() && record()->blob != kNullArenaIndex;
 }
 
-inline std::uint64_t DescriptorRef::profile_version() const {
-  if (!is_record()) return 0;
-  return record()->version;  // denormalized from the blob at make_stamp
-}
-
 inline std::size_t DescriptorRef::profile_size() const {
   if (!is_record()) return 0;
   return record()->size;  // denormalized from the blob at make_stamp
@@ -704,25 +631,30 @@ inline ProfileHandle DescriptorRef::profile() const {
   return ProfileHandle::adopt(rec->blob);
 }
 
-inline const Profile& ProfileHandle::materialize() const {
-  if (slot_ == kNullArenaIndex) return detail::static_empty_profile();
-  const CompactProfile* rec = record();
-  if (rec->size() == 0) return detail::static_empty_profile();
-  return detail::scratch_lookup(rec->version(),
-                                [&](Profile& out) { rec->decode_into(out); });
+inline ProfileView CompactProfile::view() const {
+  ProfileView v;
+  v.ids = words_.data();
+  v.size = count_;
+  v.norm = norm_;
+  v.liked = liked_;
+  if (binary()) {
+    v.score_mask = score_lanes();
+  } else {
+    v.scores = reinterpret_cast<const double*>(words_.data() + count_);
+  }
+  return v;
 }
 
-inline const Profile& DescriptorRef::materialize() const {
-  if (!is_record()) return detail::static_empty_profile();
-  SnapshotArena& arena = SnapshotArena::instance();
-  const StampRecord* rec = arena.stamp(bits_);
-  // size/version are denormalized into the stamp record, so a scratch HIT
-  // never touches the blob pool — only a miss pays the second slab lookup
-  // (plus the decode it feeds).
-  if (rec->size == 0) return detail::static_empty_profile();
-  return detail::scratch_lookup(rec->version, [&](Profile& out) {
-    arena.blob(rec->blob)->decode_into(out);
-  });
+inline ProfileView ProfileHandle::view() const {
+  return slot_ == kNullArenaIndex ? ProfileView() : record()->view();
+}
+
+inline ProfileView DescriptorRef::view() const {
+  if (!is_record()) return ProfileView();
+  const StampRecord* rec = record();
+  // The denormalized size spares empty snapshots the blob lookup.
+  if (rec->size == 0) return ProfileView();
+  return SnapshotArena::instance().blob(rec->blob)->view();
 }
 
 }  // namespace whatsup

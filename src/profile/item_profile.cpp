@@ -45,9 +45,17 @@ Profile& ItemProfileRef::owned() {
 
 void ItemProfileRef::fold_profile(const Profile& user) {
   if (user.empty()) return;  // Profile::fold_profile would no-op too
-  Profile& p = owned();
-  p.fold_profile(user);
-  p.norm();
+  if (box_ != nullptr && ref_count() > 1) {
+    // Shared: merge from the shared source into one fresh box instead of
+    // cloning it first and then rebuilding the clone's arrays.
+    Box* fresh = new Box{};
+    fresh->profile.assign_folded(box_->profile, user);
+    release();
+    box_ = fresh;
+  } else {
+    owned().fold_profile(user);
+  }
+  box_->profile.norm();
 }
 
 void ItemProfileRef::purge_older_than(Cycle cutoff) {

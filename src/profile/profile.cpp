@@ -81,9 +81,12 @@ void Profile::fold(ItemId id, Cycle timestamp, double score) {
   bump_version();
 }
 
-void Profile::fold_profile(const Profile& user) {
-  if (user.empty()) return;
-  if (empty()) {
+void Profile::assign_folded(const Profile& base, const Profile& user) {
+  if (user.empty()) {
+    if (&base != this) *this = base;
+    return;
+  }
+  if (base.empty()) {
     // Folding into an empty item profile inserts every entry as-is.
     ids_ = user.ids_;
     timestamps_ = user.timestamps_;
@@ -94,25 +97,29 @@ void Profile::fold_profile(const Profile& user) {
   }
   // One linear merge instead of per-entry sorted inserts (which would cost
   // O(n·m) tail moves). `user` has unique ids, so merging applies exactly
-  // the same per-entry fold arithmetic in the same order.
+  // the same per-entry fold arithmetic in the same order. The merge builds
+  // fresh arrays and moves them in last, so `base` may alias *this.
+  const IdArray& base_ids = base.ids_;
+  const CycleArray& base_ts = base.timestamps_;
+  const ScoreArray& base_scores = base.scores_;
   IdArray ids;
   CycleArray timestamps;
   ScoreArray scores;
-  const std::size_t total = ids_.size() + user.ids_.size();
+  const std::size_t total = base_ids.size() + user.ids_.size();
   ids.reserve(total);
   timestamps.reserve(total);
   scores.reserve(total);
   std::size_t liked = 0;
   std::size_t i = 0, j = 0;
-  while (i < ids_.size() || j < user.ids_.size()) {
+  while (i < base_ids.size() || j < user.ids_.size()) {
     const bool take_mine =
-        j >= user.ids_.size() || (i < ids_.size() && ids_[i] < user.ids_[j]);
+        j >= user.ids_.size() || (i < base_ids.size() && base_ids[i] < user.ids_[j]);
     const bool take_theirs =
-        i >= ids_.size() || (j < user.ids_.size() && user.ids_[j] < ids_[i]);
+        i >= base_ids.size() || (j < user.ids_.size() && user.ids_[j] < base_ids[i]);
     if (take_mine) {
-      ids.push_back(ids_[i]);
-      timestamps.push_back(timestamps_[i]);
-      scores.push_back(scores_[i]);
+      ids.push_back(base_ids[i]);
+      timestamps.push_back(base_ts[i]);
+      scores.push_back(base_scores[i]);
       ++i;
     } else if (take_theirs) {
       ids.push_back(user.ids_[j]);
@@ -120,9 +127,9 @@ void Profile::fold_profile(const Profile& user) {
       scores.push_back(user.scores_[j]);
       ++j;
     } else {
-      ids.push_back(ids_[i]);
-      timestamps.push_back(std::max(timestamps_[i], user.timestamps_[j]));
-      scores.push_back((scores_[i] + user.scores_[j]) / 2.0);
+      ids.push_back(base_ids[i]);
+      timestamps.push_back(std::max(base_ts[i], user.timestamps_[j]));
+      scores.push_back((base_scores[i] + user.scores_[j]) / 2.0);
       ++i;
       ++j;
     }

@@ -22,7 +22,7 @@
 //  * a content `version()` — a globally unique stamp bumped on every
 //    content change. Equal versions imply equal contents (copies inherit
 //    the stamp; empty profiles are normalized to version 0), which is what
-//    the descriptor snapshot cache and the materialize cache key on;
+//    the descriptor snapshot cache and the snapshot intern table key on;
 //  * an incrementally maintained `liked_count()` (exact integer math);
 //  * a lazily cached `norm()`, recomputed with the same left-to-right
 //    summation as a fresh scan so cached and fresh values are bit-equal
@@ -71,7 +71,12 @@ class Profile {
   void fold(ItemId id, Cycle timestamp, double score);
 
   // Folds every entry of `user` into this item profile (Alg. 1 lines 3-4).
-  void fold_profile(const Profile& user);
+  void fold_profile(const Profile& user) { assign_folded(*this, user); }
+
+  // Replaces this profile with `base` after fold_profile(user), merging
+  // straight from `base` (which may be *this) so a copy-on-write holder
+  // need not clone `base` first.
+  void assign_folded(const Profile& base, const Profile& user);
 
   // Removes entries strictly older than `cutoff` (profile window, §II-E).
   void purge_older_than(Cycle cutoff);
@@ -143,6 +148,39 @@ class Profile {
   // Stamps a content change: fresh unique version (0 when now empty) and
   // norm invalidation.
   void bump_version();
+};
+
+// Score of entry i in a 1-bit score mask (bit i%8 of byte i/8): exactly
+// 1.0 or 0.0, the values the mask was built from.
+inline double mask_score(const std::uint8_t* mask, std::size_t i) {
+  return (mask[i >> 3] >> (i & 7)) & 1u ? 1.0 : 0.0;
+}
+
+// Read-only scoring view of a profile: what the similarity kernels
+// (profile/similarity.hpp) read from a candidate. It views either a
+// decoded Profile (`scores`) or a compact snapshot record scored in place
+// (profile/compact.hpp), whose binary score vectors stay a 1-bit mask.
+// Borrowed: valid while the viewed Profile or snapshot is held.
+struct ProfileView {
+  const ItemId* ids = nullptr;               // ascending
+  const double* scores = nullptr;            // real-valued lanes, or ...
+  const std::uint8_t* score_mask = nullptr;  // ... bit i set ⟺ score 1.0
+  std::size_t size = 0;
+  double norm = 0.0;
+  std::size_t liked = 0;
+
+  ProfileView() = default;
+  // Implicit, like std::string_view from std::string.
+  ProfileView(const Profile& p)
+      : ids(p.ids().data()),
+        scores(p.scores().data()),
+        size(p.size()),
+        norm(p.norm()),
+        liked(p.liked_count()) {}
+
+  double score(std::size_t i) const {
+    return score_mask == nullptr ? scores[i] : mask_score(score_mask, i);
+  }
 };
 
 }  // namespace whatsup

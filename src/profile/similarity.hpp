@@ -29,24 +29,32 @@ enum class Metric {
 
 std::string to_string(Metric metric);
 
+// Every metric takes the candidate as a ProfileView (profile/profile.hpp):
+// a decoded Profile converts implicitly, and the hot paths pass snapshot
+// records scored in place (net::Descriptor::profile_view()). A view of a
+// record and a view of its decoded copy score bit-identically.
+
 // Asymmetric WUP metric; `subject` is the node doing the selection (or the
 // item profile in BEEP's orientation step), `candidate` the profile under
 // evaluation. Returns 0 when either restriction is empty.
-double wup_similarity(const Profile& subject, const Profile& candidate);
+double wup_similarity(const Profile& subject, const ProfileView& candidate);
 
 // Classic cosine over the common items, normalised by full profile norms.
-double cosine_similarity(const Profile& a, const Profile& b);
+double cosine_similarity(const Profile& a, const ProfileView& b);
 
 // |liked(a) ∩ liked(b)| / |liked(a) ∪ liked(b)| with liked = score > 0.5.
-double jaccard_similarity(const Profile& a, const Profile& b);
+double jaccard_similarity(const Profile& a, const ProfileView& b);
 
 // dot(common) / min(‖a‖, ‖b‖)², clamped to [0, 1].
-double overlap_similarity(const Profile& a, const Profile& b);
+double overlap_similarity(const Profile& a, const ProfileView& b);
 
 // Pearson correlation over co-rated items, rescaled to [0, 1].
-double pearson_similarity(const Profile& a, const Profile& b);
+double pearson_similarity(const Profile& a, const ProfileView& b);
 
-// Dispatch by metric; all results are in [0, 1].
+// Dispatch by metric; all results are in [0, 1]. The view overload is the
+// hot path (view merges, BEEP orientation, convergence probes) and counts
+// `profile.similarity.evals`; the Profile overload scores decoded copies.
+double similarity(Metric metric, const Profile& subject, const ProfileView& candidate);
 double similarity(Metric metric, const Profile& subject, const Profile& candidate);
 
 }  // namespace whatsup

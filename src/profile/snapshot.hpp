@@ -7,7 +7,10 @@
 // cycle would otherwise mint one stamp record per message.
 // `ProfileSnapshotCache` keeps the last stamp and reuses it while both the
 // cycle and `Profile::version()` are unchanged (equal versions imply equal
-// contents, see profile.hpp). On a miss it interns through
+// contents, see profile.hpp). Each agent owns one and passes it to all of
+// its gossip protocols, so RPS and WUP messages of the same cycle share
+// one stamp; it is consulted only when a message goes out. On a miss it
+// interns through
 // `ProfileHandle::snapshot`, whose version-keyed table already shares each
 // profile generation across cycles; empty profiles share one static handle.
 #pragma once

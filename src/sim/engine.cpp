@@ -432,22 +432,6 @@ void Engine::ensure_shards() {
         begin, static_cast<NodeId>(begin + shard_nodes_), w));
   }
   for (auto& shard : shards_) shard->grow_window(w, now_);
-  // Size the thread-local materialize caches to the deployment. The cache
-  // is direct-mapped on the version counter, and versions advance with
-  // EVERY profile mutation process-wide, so live generations land on
-  // effectively random slots: what governs the hit rate is the load factor
-  // (live generations / slots), not raw coverage. Live generations run
-  // several × node count (stale view entries pin old generations for tens
-  // of cycles), so budget 16 slots per node — a small run stops paying the
-  // million-node ceiling (~4 MB/thread) while staying at a low enough load
-  // that conflict misses stay off the scoring profile. Monotonic in the
-  // node count, hence identical across thread counts and partitionings —
-  // and a pure cache size either way, so it could never affect results.
-  if (!agents_.empty()) {
-    set_materialize_scratch_slots(std::min<std::size_t>(
-        kMaxMaterializeScratchSlots,
-        std::max<std::size_t>(kMinMaterializeScratchSlots, 16 * agents_.size())));
-  }
 }
 
 Rng Engine::message_rng(NodeId from) {
@@ -795,8 +779,6 @@ Engine::MemoryStats Engine::memory_stats() const {
   for (const auto& batch : wire_out_) total.scratch_bytes += batch.capacity();
   const SnapshotArena::Stats arena = SnapshotArena::instance().stats();
   total.arena_bytes = arena.blobs.resident_bytes + arena.stamps.resident_bytes;
-  total.materialize_slots = materialize_scratch_slots();
-  total.materialize_bytes_per_thread = materialize_scratch_bytes_per_thread();
   return total;
 }
 

@@ -262,10 +262,6 @@ class Engine : public ParallelExecutor {
     std::size_t pool_bytes = 0;      // descriptor-pool free-list capacity
     std::size_t scratch_bytes = 0;   // delivery-batch scratch capacity
     std::size_t arena_bytes = 0;     // snapshot-arena slab storage (process-wide)
-    // Materialize scratch: engine-chosen slot count and the per-thread
-    // resident cost it implies (profile/compact.hpp).
-    std::size_t materialize_slots = 0;
-    std::size_t materialize_bytes_per_thread = 0;
     std::size_t total() const {
       return mailbox_bytes + payload_bytes + outbox_bytes + pool_bytes +
              scratch_bytes + arena_bytes;

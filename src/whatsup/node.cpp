@@ -95,8 +95,8 @@ void WhatsUpAgent::on_cycle(sim::Context& ctx) {
   }
   if (config_.reliability.enabled) pump_retransmissions(ctx);
   const Profile& outgoing = disclosed(ctx.now());
-  rps_.step(ctx, outgoing);
-  wup_.step(ctx, rps_.view(), outgoing);
+  rps_.step(ctx, outgoing, snapshots_);
+  wup_.step(ctx, rps_.view(), outgoing, snapshots_);
 }
 
 void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
@@ -106,13 +106,14 @@ void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
   }
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      rps_.on_request(ctx, message.view(), disclosed(ctx.now()));
+      rps_.on_request(ctx, message.view(), disclosed(ctx.now()), snapshots_);
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      wup_.on_request(ctx, message.view(), profile_, rps_.view(), disclosed(ctx.now()));
+      wup_.on_request(ctx, message.view(), profile_, rps_.view(), disclosed(ctx.now()),
+                      snapshots_);
       break;
     case net::MsgType::kWupReply:
       wup_.on_reply(ctx, message.view(), profile_, rps_.view());
@@ -250,7 +251,7 @@ void WhatsUpAgent::cold_start_from(sim::Context& ctx, const WhatsUpAgent& contac
   // how many view profiles LIKE each item, keep the top-k.
   std::unordered_map<ItemId, std::pair<int, Cycle>> popularity;
   for (const net::Descriptor& d : rps_.view().entries()) {
-    const Profile& p = d.profile_ref();
+    const Profile p = d.profile_ref();
     for (std::size_t i = 0; i < p.size(); ++i) {
       if (p.scores()[i] > 0.5) {
         auto& [count, ts] = popularity[p.ids()[i]];

@@ -113,6 +113,9 @@ class WhatsUpAgent : public sim::Agent {
   Profile profile_;  // the user profile P~ (binary scores)
   gossip::Rps rps_;
   gossip::ClusteringProtocol wup_;
+  // One stamp cache for both gossip layers: RPS and WUP messages sent in
+  // the same cycle share one stamp record (profile/snapshot.hpp).
+  ProfileSnapshotCache snapshots_;
   SortedIdSet<ItemId, 4> seen_;  // SIR "removed" state (flat sorted, inline)
   std::unique_ptr<OptInState> opt_in_;  // null when every opt-in layer is off
 };

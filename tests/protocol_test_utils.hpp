@@ -17,10 +17,12 @@ class RpsOnlyAgent : public sim::Agent {
   RpsOnlyAgent(NodeId self, std::size_t view_size, Profile profile = {})
       : profile_(std::move(profile)), rps_(self, view_size, 1) {}
 
-  void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_); }
+  void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_, snapshots_); }
   void on_message(sim::Context& ctx, const net::Message& m) override {
     switch (m.type) {
-      case net::MsgType::kRpsRequest: rps_.on_request(ctx, m.view(), profile_); break;
+      case net::MsgType::kRpsRequest:
+        rps_.on_request(ctx, m.view(), profile_, snapshots_);
+        break;
       case net::MsgType::kRpsReply: rps_.on_reply(ctx, m.view()); break;
       default: break;
     }
@@ -33,6 +35,7 @@ class RpsOnlyAgent : public sim::Agent {
  private:
   Profile profile_;
   Rps rps_;
+  ProfileSnapshotCache snapshots_;
 };
 
 // Agent running RPS + the WUP clustering protocol over a FIXED profile, so
@@ -46,15 +49,17 @@ class ClusteringAgent : public sim::Agent {
         wup_(self, wup_size, metric, 1) {}
 
   void on_cycle(sim::Context& ctx) override {
-    rps_.step(ctx, profile_);
-    wup_.step(ctx, rps_.view(), profile_);
+    rps_.step(ctx, profile_, snapshots_);
+    wup_.step(ctx, rps_.view(), profile_, snapshots_);
   }
   void on_message(sim::Context& ctx, const net::Message& m) override {
     switch (m.type) {
-      case net::MsgType::kRpsRequest: rps_.on_request(ctx, m.view(), profile_); break;
+      case net::MsgType::kRpsRequest:
+        rps_.on_request(ctx, m.view(), profile_, snapshots_);
+        break;
       case net::MsgType::kRpsReply: rps_.on_reply(ctx, m.view()); break;
       case net::MsgType::kWupRequest:
-        wup_.on_request(ctx, m.view(), profile_, rps_.view(), profile_);
+        wup_.on_request(ctx, m.view(), profile_, rps_.view(), profile_, snapshots_);
         break;
       case net::MsgType::kWupReply:
         wup_.on_reply(ctx, m.view(), profile_, rps_.view());
@@ -74,6 +79,7 @@ class ClusteringAgent : public sim::Agent {
   Profile profile_;
   Rps rps_;
   gossip::ClusteringProtocol wup_;
+  ProfileSnapshotCache snapshots_;
 };
 
 // Seeds each agent's RPS view with `k` random peers (ring offset fallback

@@ -1,17 +1,20 @@
 // Property tests for the compact-profile storage layer: the varint/delta
-// codec underneath it, bit-exact encode/decode round trips, the
-// thread-local materialize scratch ring, and the global snapshot intern
-// table (refcounts, reuse, epoch purge, cross-thread isolation).
+// codec underneath its timestamp lanes, bit-exact encode/decode round
+// trips, in-place scoring views, and the global snapshot intern table
+// (refcounts, reuse, epoch purge, cross-thread isolation).
 //
-// The contract that everything else in this PR leans on: a Profile decoded
-// from its CompactProfile is indistinguishable — contents, version, cached
-// norm, liked count — from a plain copy of the original. Anything less and
-// fixed-seed digest trajectories would drift.
+// The contract that everything else leans on: a Profile decoded from its
+// CompactProfile is indistinguishable — contents, version, cached norm,
+// liked count — from a plain copy of the original, and the record's
+// in-place view scores exactly like that copy (tests/test_similarity.cpp
+// pins the kernels). Anything less and fixed-seed digest trajectories
+// would drift.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -21,6 +24,7 @@
 #include "common/varint.hpp"
 #include "profile/compact.hpp"
 #include "profile/profile.hpp"
+#include "profile/similarity.hpp"
 
 namespace whatsup {
 namespace {
@@ -164,9 +168,7 @@ TEST(CompactProfile, RoundTripIsBitIdenticalToCopy) {
     const bool binary = rng.bernoulli(0.5);
     const Profile p = random_profile(rng, rng.index(60), 200, binary);
     const auto compact = CompactProfile::encode(p);
-    Profile decoded;
-    compact->decode_into(decoded);
-    expect_bit_identical(p, decoded);
+    expect_bit_identical(p, compact->decode());
     // Header-only reads agree without decoding.
     EXPECT_EQ(compact->size(), p.size());
     EXPECT_EQ(compact->version(), p.version());
@@ -187,11 +189,41 @@ TEST(CompactProfile, BinaryScoresPackToBitmask) {
   const auto cb = CompactProfile::encode(binary);
   const auto cr = CompactProfile::encode(real);
   EXPECT_LT(cb->encoded_bytes() + 64 * 7, cr->encoded_bytes());
-  Profile db, dr;
-  cb->decode_into(db);
-  cr->decode_into(dr);
-  expect_bit_identical(binary, db);
-  expect_bit_identical(real, dr);
+  expect_bit_identical(binary, cb->decode());
+  expect_bit_identical(real, cr->decode());
+}
+
+TEST(CompactProfile, ViewReadsRawIdsAndScoreLanesInPlace) {
+  // The scoring view points into the record: raw ascending ids, a 1-bit
+  // mask for binary scores, raw doubles otherwise, plus the header stats.
+  Rng rng(9);
+  for (const bool binary : {true, false}) {
+    const Profile p = random_profile(rng, 37, 1000, binary);
+    const auto compact = CompactProfile::encode(p);
+    const ProfileView v = compact->view();
+    ASSERT_EQ(v.size, p.size());
+    EXPECT_EQ(v.score_mask != nullptr, binary);
+    EXPECT_EQ(v.scores != nullptr, !binary);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.ids) % alignof(ItemId), 0u);
+    EXPECT_EQ(v.norm, p.norm());
+    EXPECT_EQ(v.liked, p.liked_count());
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(v.ids[i], p.ids()[i]);
+      EXPECT_EQ(v.score(i), p.scores()[i]);
+    }
+  }
+}
+
+TEST(CompactProfile, RawIdsAreNoLargerThanDeltaCodedHashes) {
+  // Item ids are 64-bit hashes; their zigzag varint deltas cost 8-10 bytes
+  // each, so storing them raw (8 bytes) never grows a record.
+  Rng rng(10);
+  Profile p;
+  for (int i = 0; i < 50; ++i) p.set(rng.next_u64(), i, 1.0);
+  std::vector<std::uint64_t> ids(p.ids().begin(), p.ids().end());
+  const auto compact = CompactProfile::encode(p);
+  EXPECT_LE(p.size() * sizeof(ItemId), delta_encoded_size(ids.data(), ids.size()));
+  EXPECT_EQ(compact->decode(), p);
 }
 
 TEST(CompactProfile, NonFiniteAndNegativeScoresSurvive) {
@@ -199,8 +231,7 @@ TEST(CompactProfile, NonFiniteAndNegativeScoresSurvive) {
   p.set(1, 0, -0.0);
   p.set(2, 0, std::numeric_limits<double>::infinity());
   p.set(3, 0, std::numeric_limits<double>::denorm_min());
-  Profile decoded;
-  CompactProfile::encode(p)->decode_into(decoded);
+  const Profile decoded = CompactProfile::encode(p)->decode();
   for (std::size_t i = 0; i < p.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.entry(i).score),
               std::bit_cast<std::uint64_t>(p.entry(i).score));
@@ -211,12 +242,10 @@ TEST(CompactProfile, NegativeTimestampsSurvive) {
   Profile p;
   p.set(5, -3, 1.0);
   p.set(9, 40, 0.0);
-  Profile decoded;
-  CompactProfile::encode(p)->decode_into(decoded);
-  expect_bit_identical(p, decoded);
+  expect_bit_identical(p, CompactProfile::encode(p)->decode());
 }
 
-// ---- ProfileHandle + scratch ring -----------------------------------------
+// ---- ProfileHandle ----------------------------------------------------------
 
 TEST(ProfileHandle, NullVersusEmptyAreDistinct) {
   const ProfileHandle null_handle;
@@ -227,7 +256,10 @@ TEST(ProfileHandle, NullVersusEmptyAreDistinct) {
   EXPECT_TRUE(static_cast<bool>(empty));
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.version(), 0u);
-  EXPECT_TRUE(empty.materialize().empty());
+  EXPECT_TRUE(empty.decode().empty());
+  EXPECT_EQ(empty.view().size, 0u);
+  EXPECT_TRUE(null_handle.decode().empty());
+  EXPECT_EQ(null_handle.view().size, 0u);
 }
 
 TEST(ProfileHandle, HandleIsFourBytesWide) {
@@ -236,11 +268,9 @@ TEST(ProfileHandle, HandleIsFourBytesWide) {
   EXPECT_EQ(sizeof(ProfileHandle), 4u);
 }
 
-TEST(ProfileHandle, ScratchCacheSurvivesInterleavedMaterializes) {
-  // Many live versions hammered in random order: whether a materialize()
-  // hits the thread-local decode cache or decodes fresh (including
-  // direct-mapped slot collisions), the returned reference must always
-  // match the snapshot taken.
+TEST(ProfileHandle, ViewsAndDecodesMatchSnapshotsInAnyOrder) {
+  // Many live versions read in random order: every view and every decode
+  // must match the snapshot taken, with no state shared between reads.
   Rng rng(31);
   std::vector<Profile> originals;
   std::vector<ProfileHandle> handles;
@@ -250,8 +280,13 @@ TEST(ProfileHandle, ScratchCacheSurvivesInterleavedMaterializes) {
   }
   for (int round = 0; round < 30; ++round) {
     const std::size_t k = rng.index(handles.size());
-    const Profile& view = handles[k].materialize();
-    expect_bit_identical(originals[k], view);
+    expect_bit_identical(originals[k], handles[k].decode());
+    const ProfileView v = handles[k].view();
+    ASSERT_EQ(v.size, originals[k].size());
+    for (std::size_t i = 0; i < v.size; ++i) {
+      EXPECT_EQ(v.ids[i], originals[k].ids()[i]);
+      EXPECT_EQ(v.score(i), originals[k].scores()[i]);
+    }
   }
 }
 
@@ -262,7 +297,7 @@ TEST(ProfileHandle, SnapshotIsImmutableUnderSourceMutation) {
   const Profile before = p;
   p.set(2, 0, 1.0);
   p.set(3, 5, 0.0);
-  expect_bit_identical(before, h.materialize());
+  expect_bit_identical(before, h.decode());
 }
 
 // ---- SnapshotArena --------------------------------------------------------
@@ -316,19 +351,31 @@ TEST(SnapshotArena, EpochAdvanceEventuallySweepsEveryShard) {
   EXPECT_GT(stats.purged, 0u);
 }
 
-TEST(SnapshotArena, ThreadedInternAndMaterializeStayIsolated) {
-  // Exercised under TSan in CI: concurrent snapshot/materialize across
-  // threads must neither race nor bleed scratch state between threads.
+TEST(SnapshotArena, ThreadedInternAndInPlaceScoringStayIsolated) {
+  // Exercised under TSan in CI: threads concurrently intern and score the
+  // same records in place (the shard workers' hot path), which must
+  // neither race nor differ from scoring the decoded copies.
   constexpr int kThreads = 4;
   constexpr int kProfiles = 16;
   constexpr int kRounds = 200;
+  constexpr Metric kMetrics[] = {Metric::kWup, Metric::kCosine, Metric::kJaccard,
+                                 Metric::kOverlap, Metric::kPearson};
   std::vector<Profile> profiles;
   Rng seed_rng(77);
   for (int i = 0; i < kProfiles; ++i) {
-    profiles.push_back(random_profile(seed_rng, 10, 64, false));
+    profiles.push_back(random_profile(seed_rng, 10, 64, i % 2 == 0));
+    profiles.back().norm();  // shared across threads: warm the lazy norm
   }
   std::vector<ProfileHandle> handles;
   for (const Profile& p : profiles) handles.push_back(ProfileHandle::snapshot(p));
+  // Expected scores of every (subject, candidate, metric), from the
+  // decoded copies on this thread.
+  std::vector<double> expected;
+  for (const Profile& subject : profiles) {
+    for (const Profile& candidate : profiles) {
+      for (const Metric m : kMetrics) expected.push_back(similarity(m, subject, candidate));
+    }
+  }
 
   std::vector<std::thread> workers;
   std::vector<int> failures(kThreads, 0);
@@ -337,13 +384,16 @@ TEST(SnapshotArena, ThreadedInternAndMaterializeStayIsolated) {
       Rng rng(1000 + t);
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
+        const std::size_t s = rng.index(kProfiles);
         // Interning the same version from many threads must converge on the
         // shared record.
         const ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
         if (h.record() != handles[k].record()) ++failures[t];
-        const Profile& view = h.materialize();
-        if (!(view == profiles[k])) ++failures[t];
-        if (view.version() != profiles[k].version()) ++failures[t];
+        for (std::size_t m = 0; m < std::size(kMetrics); ++m) {
+          const double score = similarity(kMetrics[m], profiles[s], h.view());
+          const double want = expected[(s * kProfiles + k) * std::size(kMetrics) + m];
+          if (score != want) ++failures[t];
+        }
       }
     });
   }
@@ -388,7 +438,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
         h = copy;                      // re-retain through assignment
         // A sweep may have dropped the table entry between our intern and
         // now; the record we hold must stay valid and intact regardless.
-        if (!(copy.materialize() == profiles[k])) ++failures[t];
+        if (!(copy.decode() == profiles[k])) ++failures[t];
         if (moved.record() != copy.record()) ++failures[t];
       }  // all three handles drop here — possibly the last references
     });
@@ -458,9 +508,7 @@ TEST(SnapshotArena, CompactionRetiresEmptyChunksKeepsLiveAddressable) {
   const auto stats = SnapshotArena::instance().stats();
   EXPECT_GT(stats.blobs.retired, 0u);  // at least one slab was compacted away
   for (std::size_t i = 0; i < survivors.size(); ++i) {
-    Profile decoded;
-    survivors[i]->decode_into(decoded);
-    expect_bit_identical(originals[i], decoded);
+    expect_bit_identical(originals[i], survivors[i]->decode());
   }
 }
 
@@ -480,8 +528,7 @@ TEST(SnapshotArena, ContentInternDedupesAcrossDistinctVersions) {
   EXPECT_EQ(ha.record(), hb.record());
   // The shared record reproduces the shared contents (version keeps the
   // first arrival's stamp — versions only key caches, never behavior).
-  Profile decoded;
-  ha->decode_into(decoded);
+  const Profile decoded = ha->decode();
   ASSERT_EQ(decoded, a);
   EXPECT_EQ(decoded.norm(), a.norm());
   EXPECT_EQ(decoded.liked_count(), a.liked_count());
@@ -523,7 +570,7 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
         const ProfileHandle h = arena.intern_by_content(profiles[k]);
-        if (!(h.materialize() == profiles[k])) ++failures[t];
+        if (!(h.decode() == profiles[k])) ++failures[t];
       }
     });
   }
@@ -572,9 +619,10 @@ TEST(DescriptorRef, StampRecordsShareTimestampAndBlobByRefcount) {
     EXPECT_EQ(a.timestamp(), 17);
     EXPECT_EQ(c.timestamp(), 17);
     EXPECT_TRUE(c.has_profile());
-    EXPECT_EQ(c.profile_version(), p.version());
+    EXPECT_EQ(c.profile().version(), p.version());
     EXPECT_EQ(c.profile_size(), p.size());
-    expect_bit_identical(p, c.materialize());
+    expect_bit_identical(p, c.profile().decode());
+    EXPECT_EQ(c.view().size, p.size());
     const auto during = SnapshotArena::instance().stats();
     EXPECT_EQ(during.stamps.live, before.stamps.live + 1);  // ONE record for 3 copies
   }
@@ -582,7 +630,7 @@ TEST(DescriptorRef, StampRecordsShareTimestampAndBlobByRefcount) {
   const auto after = SnapshotArena::instance().stats();
   EXPECT_EQ(after.stamps.live, before.stamps.live);
   // The blob outlives the stamps through our snapshot handle.
-  expect_bit_identical(p, snapshot.materialize());
+  expect_bit_identical(p, snapshot.decode());
 }
 
 TEST(DescriptorRef, MoveTransfersOwnershipWithoutTouchingRefcount) {
@@ -594,27 +642,6 @@ TEST(DescriptorRef, MoveTransfersOwnershipWithoutTouchingRefcount) {
   EXPECT_TRUE(a.is_null());
   EXPECT_EQ(b.timestamp(), 5);
   EXPECT_EQ(SnapshotArena::instance().stats().stamps.live, live_before);
-}
-
-// ---- materialize scratch sizing -------------------------------------------
-
-TEST(MaterializeScratch, EngineHintResizesWithinBounds) {
-  const std::size_t restore = materialize_scratch_slots();
-  set_materialize_scratch_slots(64);  // below floor: clamped up
-  EXPECT_EQ(materialize_scratch_slots(), kMinMaterializeScratchSlots);
-  set_materialize_scratch_slots(1 << 20);  // above ceiling: clamped down
-  EXPECT_EQ(materialize_scratch_slots(), kMaxMaterializeScratchSlots);
-  set_materialize_scratch_slots(3000);  // rounded up to a power of two
-  EXPECT_EQ(materialize_scratch_slots(), 4096u);
-  EXPECT_GT(materialize_scratch_bytes_per_thread(), 0u);
-  // Resizing mid-run only clears the cache: materialize stays correct.
-  Rng rng(55);
-  const Profile p = random_profile(rng, 12, 80, false);
-  const ProfileHandle h = ProfileHandle::snapshot(p);
-  expect_bit_identical(p, h.materialize());
-  set_materialize_scratch_slots(kMinMaterializeScratchSlots);
-  expect_bit_identical(p, h.materialize());
-  set_materialize_scratch_slots(restore);
 }
 
 }  // namespace

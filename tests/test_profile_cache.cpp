@@ -159,8 +159,8 @@ TEST(SnapshotCache, StampReusedPerCycleAndVersion) {
   p.set(2, 0, 0.0);
   const DescriptorRef changed = cache.stamp(5, p);
   EXPECT_NE(changed.profile().record(), first.profile().record());
-  EXPECT_EQ(changed.materialize(), p);
-  EXPECT_EQ(first.materialize(),
+  EXPECT_EQ(changed.profile().decode(), p);
+  EXPECT_EQ(first.profile().decode(),
             (([] { Profile q; q.set(1, 0, 1.0); return q; })()));
 
   // Empty profiles stamp the shared empty snapshot.

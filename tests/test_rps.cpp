@@ -120,14 +120,17 @@ TEST(Rps, PeriodThrottlesGossip) {
     class PeriodicAgent : public sim::Agent {
      public:
       PeriodicAgent(NodeId self, Cycle period) : rps_(self, 4, period) {}
-      void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_); }
+      void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_, snapshots_); }
       void on_message(sim::Context& ctx, const net::Message& m) override {
-        if (m.type == net::MsgType::kRpsRequest) rps_.on_request(ctx, m.view(), profile_);
+        if (m.type == net::MsgType::kRpsRequest) {
+          rps_.on_request(ctx, m.view(), profile_, snapshots_);
+        }
         if (m.type == net::MsgType::kRpsReply) rps_.on_reply(ctx, m.view());
       }
       void publish(sim::Context&, ItemIdx, ItemId) override {}
       Rps rps_;
       Profile profile_;
+      ProfileSnapshotCache snapshots_;
     };
     std::vector<PeriodicAgent*> agents;
     for (NodeId v = 0; v < 6; ++v) {

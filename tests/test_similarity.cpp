@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
+#include "net/message.hpp"
+#include "profile/compact.hpp"
 
 namespace whatsup {
 namespace {
@@ -163,6 +167,105 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricProperty,
                                            Metric::kJaccard, Metric::kOverlap,
                                            Metric::kPearson),
                          [](const auto& info) { return to_string(info.param); });
+
+// --- In-place scoring of snapshot records ----------------------------------
+//
+// The hot paths score a candidate straight from its snapshot record (raw
+// ids, 1-bit score mask or raw doubles); cold paths score a decoded copy.
+// Both must give the same bits for every metric.
+
+constexpr Metric kAllMetrics[] = {Metric::kWup, Metric::kCosine, Metric::kJaccard,
+                                  Metric::kOverlap, Metric::kPearson};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+Profile random_profile(Rng& rng, std::size_t size, ItemId universe, bool binary) {
+  Profile p;
+  while (p.size() < size) {
+    const double score = binary ? (rng.bernoulli(0.6) ? 1.0 : 0.0) : rng.uniform();
+    p.set(rng.index(universe) + 1, static_cast<Cycle>(rng.index(40)), score);
+  }
+  return p;
+}
+
+void expect_in_place_equals_decoded(const Profile& subject, const ProfileHandle& h) {
+  const Profile decoded = h.decode();
+  for (const Metric m : kAllMetrics) {
+    const double in_place = similarity(m, subject, h.view());
+    EXPECT_EQ(bits(in_place), bits(similarity(m, subject, decoded)))
+        << to_string(m) << " subject " << subject.size() << " candidate "
+        << decoded.size();
+  }
+  EXPECT_EQ(bits(wup_similarity(subject, h.view())), bits(wup_similarity(subject, decoded)));
+  EXPECT_EQ(bits(cosine_similarity(subject, h.view())),
+            bits(cosine_similarity(subject, decoded)));
+  EXPECT_EQ(bits(jaccard_similarity(subject, h.view())),
+            bits(jaccard_similarity(subject, decoded)));
+  EXPECT_EQ(bits(overlap_similarity(subject, h.view())),
+            bits(overlap_similarity(subject, decoded)));
+  EXPECT_EQ(bits(pearson_similarity(subject, h.view())),
+            bits(pearson_similarity(subject, decoded)));
+}
+
+TEST(InPlaceScoring, BitIdenticalToDecodedForEveryMetricAndSize) {
+  // Sizes straddle the 8-id block width of the vectorized merge (7, 8, 9)
+  // and reach past a full profile window (300); subjects and candidates
+  // share a small id universe so that matches are frequent.
+  Rng rng(4242);
+  const std::size_t sizes[] = {0, 1, 7, 8, 9, 300};
+  for (const bool binary : {true, false}) {
+    for (const std::size_t cand_size : sizes) {
+      for (const std::size_t subj_size : sizes) {
+        for (int trial = 0; trial < 4; ++trial) {
+          const ItemId universe = 2 * std::max<std::size_t>({cand_size, subj_size, 4});
+          const Profile subject = random_profile(rng, subj_size, universe, rng.bernoulli(0.5));
+          const Profile candidate = random_profile(rng, cand_size, universe, binary);
+          const ProfileHandle h = CompactProfile::encode(candidate);
+          ASSERT_EQ(h.view().score_mask != nullptr, binary || cand_size == 0);
+          expect_in_place_equals_decoded(subject, h);
+        }
+      }
+    }
+  }
+}
+
+TEST(InPlaceScoring, InlineRecordsScoreLikeDecoded) {
+  // One- and two-entry records fit the record's inline words (no heap
+  // spill); their views point into the slab slot itself.
+  Rng rng(4343);
+  const Profile subject = random_profile(rng, 9, 12, true);
+  for (const bool binary : {true, false}) {
+    for (const std::size_t size : {std::size_t{1}, std::size_t{2}}) {
+      const Profile candidate = random_profile(rng, size, 6, binary);
+      const ProfileHandle h = CompactProfile::encode(candidate);
+      if (binary) EXPECT_EQ(h->resident_bytes(), sizeof(CompactProfile));
+      expect_in_place_equals_decoded(subject, h);
+    }
+  }
+  Profile one;
+  one.set(3, 0, 1.0);
+  EXPECT_EQ(CompactProfile::encode(one)->resident_bytes(), sizeof(CompactProfile));
+}
+
+TEST(InPlaceScoring, NullAndEmptySnapshotsScoreLikeEmptyProfiles) {
+  const Profile subject = liked({1, 2, 3}, {4});
+  const Profile empty;
+  const net::Descriptor bootstrap{7, -1, nullptr};
+  const net::Descriptor empty_snapshot{7, 3, empty_profile_handle()};
+  for (const Metric m : kAllMetrics) {
+    const std::uint64_t want = bits(similarity(m, subject, empty));
+    EXPECT_EQ(bits(similarity(m, subject, ProfileHandle().view())), want) << to_string(m);
+    EXPECT_EQ(bits(similarity(m, subject, empty_profile_handle().view())), want)
+        << to_string(m);
+    EXPECT_EQ(bits(similarity(m, subject, bootstrap.profile_view())), want) << to_string(m);
+    EXPECT_EQ(bits(similarity(m, subject, empty_snapshot.profile_view())), want)
+        << to_string(m);
+    EXPECT_EQ(bits(similarity(m, subject, net::Descriptor().profile_view())), want)
+        << to_string(m);
+  }
+  expect_in_place_equals_decoded(subject, ProfileHandle());
+  expect_in_place_equals_decoded(subject, empty_profile_handle());
+}
 
 TEST(MetricNames, RoundTrip) {
   EXPECT_EQ(to_string(Metric::kWup), "wup");
