@@ -16,11 +16,15 @@
 # otherwise idle.
 #
 # Prints, per workload and end-to-end metric of BENCHMARK.json: the median
-# of each side, the change/parent ratio of the medians, the parent's
-# inter-quartile range over its median (the noise a claimed gain has to
-# beat) and the pairs won by each side. Then, per seed: whether `f1` and
-# `msgs_per_user` are equal on both sides (they are exact per seed) and
-# the `failed` counts. The raw per-run results go to .bench_out/ab.json.
+# of each side, the change/parent ratio of the medians with a bootstrap 95%
+# interval (seed pairs resampled with replacement, 2000 draws, fixed RNG
+# seed), the parent's inter-quartile range over its median (the noise a
+# claimed gain has to beat) and the pairs won by each side. A `WORSE` flag
+# marks a ratio worse than the metric's BENCHMARK.json `bound` (above
+# 1 + bound for lower-is-better metrics, below 1 - bound for
+# higher-is-better ones). Then, per seed: whether `f1` and `msgs_per_user`
+# are equal on both sides (they are exact per seed) and the `failed`
+# counts. The raw per-run results go to .bench_out/ab.json.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
@@ -40,6 +44,7 @@ mkdir -p "$ROOT/.bench_out"
 python3 - "$PARENT" "$CHANGE" "$PAIRS" "$FIRST_SEED" "$SECONDS_ARG" \
   "$ROOT/.bench_out/ab.json" <<'EOF'
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -100,12 +105,29 @@ def iqr(values):
     return q3 - q1
 
 
+def ratio_interval(both, draws=2000):
+    """Bootstrap 95% interval of median(change) / median(parent) over the
+    seed pairs, resampled with replacement (paired: a draw keeps both runs
+    of a seed together)."""
+    rng = random.Random(0)
+    ratios = []
+    for _ in range(draws):
+        sample = [both[rng.randrange(len(both))] for _ in both]
+        pm = statistics.median(p for p, _ in sample)
+        if pm:
+            ratios.append(statistics.median(c for _, c in sample) / pm)
+    if not ratios:
+        return float("nan"), float("nan")
+    ratios.sort()
+    return ratios[int(0.025 * len(ratios))], ratios[int(0.975 * len(ratios)) - 1]
+
+
 for workload in workloads:
     runs = results[workload]
     seeds = sorted(runs["parent"])
     print(f"\n== {workload} ({len(seeds)} pairs)")
     print(f"{'metric':<22}{'parent':>12}{'change':>12}{'ratio':>8}"
-          f"{'p.IQR/med':>11}{'won p/c':>10}")
+          f"{'95% CI':>16}{'p.IQR/med':>11}{'won p/c':>10}  bound")
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         pv = [value(runs["parent"][s], name) for s in seeds]
@@ -117,11 +139,17 @@ for workload in workloads:
         pm = statistics.median(p for p, _ in both)
         cm = statistics.median(c for _, c in both)
         ratio = cm / pm if pm else float("nan")
+        lo, hi = ratio_interval(both)
         spread = iqr([p for p, _ in both]) / pm if pm else float("nan")
         won_p = sum(1 for p, c in both if (p > c if higher else p < c))
         won_c = sum(1 for p, c in both if (c > p if higher else c < p))
+        bound = metric.get("bound")
+        worse = bound is not None and (ratio < 1 - bound if higher
+                                       else ratio > 1 + bound)
+        flag = f"{bound:g}" + (" WORSE" if worse else "") if bound is not None else "-"
         print(f"{name:<22}{pm:>12.4g}{cm:>12.4g}{ratio:>8.3f}"
-              f"{spread:>11.3f}{won_p:>5}/{won_c:<4}")
+              f"{f'[{lo:.3f}, {hi:.3f}]':>16}"
+              f"{spread:>11.3f}{won_p:>5}/{won_c:<4}  {flag}")
     print("per seed: f1 equal, msgs_per_user equal, failed parent/change")
     for s in seeds:
         p, c = runs["parent"][s], runs["change"][s]

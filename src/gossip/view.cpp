@@ -53,17 +53,11 @@ void View::remove(NodeId node) {
 }
 
 std::vector<net::Descriptor> View::random_subset(Rng& rng, std::size_t k) const {
-  std::vector<net::Descriptor> out;
-  random_subset_into(rng, k, out);
-  return out;
-}
-
-void View::random_subset_into(Rng& rng, std::size_t k,
-                              std::vector<net::Descriptor>& out) const {
   const auto picks = rng.sample_indices(entries_.size(), k);
-  out.clear();
+  std::vector<net::Descriptor> out;
   out.reserve(picks.size());
   for (std::size_t i : picks) out.push_back(entries_[i]);
+  return out;
 }
 
 std::vector<NodeId> View::random_members(Rng& rng, std::size_t k) const {

@@ -43,12 +43,6 @@ class View {
 
   // k entries picked uniformly without replacement.
   std::vector<net::Descriptor> random_subset(Rng& rng, std::size_t k) const;
-  // Same draw into a caller-provided buffer (cleared first): lets message
-  // builders reuse pooled payload storage (sim::DescriptorBufferPool)
-  // instead of allocating a fresh vector per gossip message. Consumes the
-  // same randomness as random_subset, picking the same members.
-  void random_subset_into(Rng& rng, std::size_t k,
-                          std::vector<net::Descriptor>& out) const;
   // Same sampling, ids only — skips the descriptor (and snapshot pointer)
   // copies when the caller just needs gossip targets. Consumes the same
   // randomness as random_subset, picking the same members.

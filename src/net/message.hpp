@@ -77,15 +77,16 @@ struct Descriptor {
   DescriptorRef entry_;
 };
 
-// Snapshots `profile`'s current contents into an interned compact record.
-// Hot paths should prefer a ProfileSnapshotCache (profile/snapshot.hpp),
-// which reuses the stamp record while (version, timestamp) is unchanged;
-// this helper is for tests, bootstrap wiring, and other cold paths.
+// Snapshots `profile`'s current contents into a fresh compact record (one
+// encode per call). Hot paths use the agent's ProfileSnapshotCache
+// (profile/snapshot.hpp), which encodes each profile version once and
+// reuses the stamp record while (version, timestamp) is unchanged; this
+// helper is for tests, bootstrap wiring, and other cold paths.
 inline Descriptor make_descriptor(NodeId node, Cycle timestamp, const Profile& profile) {
   return Descriptor{node, timestamp, ProfileHandle::snapshot(profile)};
 }
 
-// Wraps an already-interned snapshot without re-encoding.
+// Wraps an existing snapshot without re-encoding.
 inline Descriptor make_descriptor(NodeId node, Cycle timestamp, ProfileHandle snapshot) {
   return Descriptor{node, timestamp, snapshot};
 }

@@ -7,13 +7,14 @@
 // references, both meaningless outside the owning process. The codec here
 // serializes CONTENTS, never process-local identities:
 //
-//  * profile snapshots ship as delta-coded entry triplets (the same LEB128
-//    zigzag layout CompactProfile uses: id deltas, timestamp deltas, and a
-//    1-bit-per-entry mask for binary score vectors, raw doubles otherwise);
-//    the receiver re-encodes them into its own intern table. Version
-//    stamps are deliberately NOT shipped — they are process-local counters
-//    and only affect cache hit rates, never behavior, which is what keeps
-//    fixed-seed trajectories bit-identical across partition counts.
+//  * profile snapshots ship as delta-coded entries (LEB128 id deltas,
+//    zigzag timestamp deltas, and a 1-bit-per-entry mask for binary score
+//    vectors, raw doubles otherwise); the receiver re-interns them by
+//    content in its own snapshot arena.
+//    Version stamps are deliberately NOT shipped — they are process-local
+//    counters and only affect cache hit rates, never behavior, which is
+//    what keeps fixed-seed trajectories bit-identical across partition
+//    counts.
 //  * every numeric field is a varint / zigzag varint; doubles are 8-byte
 //    little-endian bit patterns (exact round-trip — scores feed similarity
 //    kernels whose last-ulp behavior is pinned by the determinism suite).

@@ -87,15 +87,9 @@ void Snapshot::absorb(const sim::Engine& engine) {
   set_gauge("engine.mem.mailbox_bytes", m.mailbox_bytes, "bytes");
   set_gauge("engine.mem.payload_bytes", m.payload_bytes, "bytes");
   set_gauge("engine.mem.outbox_bytes", m.outbox_bytes, "bytes");
-  set_gauge("engine.mem.pool_bytes", m.pool_bytes, "bytes");
   set_gauge("engine.mem.scratch_bytes", m.scratch_bytes, "bytes");
   set_gauge("engine.mem.arena_bytes", m.arena_bytes, "bytes");
   set_gauge("engine.mem.total_bytes", m.total(), "bytes");
-  const sim::Engine::PoolStats p = engine.descriptor_pool_stats();
-  set_gauge("engine.pool.reused", p.reused);
-  set_gauge("engine.pool.fresh", p.fresh);
-  set_gauge("engine.pool.recycled", p.recycled);
-  set_gauge("engine.pool.available", p.available);
 }
 
 void Snapshot::absorb(const metrics::Tracker& tracker) {

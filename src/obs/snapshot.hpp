@@ -2,11 +2,10 @@
 //
 // `Snapshot` is the one reporting path for run-level numbers: the merged
 // stats registry plus the pre-existing one-off sources absorbed as gauges
-// (`Engine::memory_stats()`, `Tracker::resident_bytes()`, per-shard
-// `descriptor_pool` stats, `SnapshotArena::stats()`). Consumers — the
-// `--stats-json` writer (whose `final` object carries the `engine.mem.*`,
-// `engine.pool.*` and `tracker.*` memory gauges) and run_bench.sh's stats
-// summary — read the same structure.
+// (`Engine::memory_stats()`, `Tracker::resident_bytes()`,
+// `SnapshotArena::stats()`). Consumers — the `--stats-json` writer (whose
+// `final` object carries the `engine.mem.*` and `tracker.*` memory gauges)
+// and run_bench.sh's stats summary — read the same structure.
 //
 // `RunOptions` carries the observability knobs through `RunConfig` into
 // `run_protocol`: a stderr heartbeat every N cycles and per-cycle registry
@@ -40,7 +39,7 @@ struct Snapshot {
   static Snapshot collect();
 
   // One-off sources, absorbed as gauges so they ride the same pipe.
-  void absorb(const sim::Engine& engine);      // engine.mem.* + engine.pool.*
+  void absorb(const sim::Engine& engine);      // engine.mem.*
   void absorb(const metrics::Tracker& tracker);  // tracker.resident_bytes
   void absorb_arena();                         // arena.* (SnapshotArena)
 

@@ -77,10 +77,6 @@ void CompactProfile::init_from(const Profile& profile) {
   delta_encode(cursor, wide.data(), n);
 }
 
-ProfileHandle CompactProfile::encode(const Profile& profile) {
-  return SnapshotArena::instance().encode_detached(profile);
-}
-
 void CompactProfile::timestamps_into(Cycle* out) const {
   const std::size_t n = count_;
   const std::uint8_t* p = score_lanes() + score_bytes();
@@ -112,7 +108,7 @@ Profile CompactProfile::decode() const {
 
 ProfileHandle ProfileHandle::snapshot(const Profile& profile) {
   if (profile.version() == 0) return empty_profile_handle();
-  return SnapshotArena::instance().intern(profile);
+  return adopt(SnapshotArena::instance().encode_blob(profile));
 }
 
 Profile ProfileHandle::decode() const {
@@ -121,7 +117,7 @@ Profile ProfileHandle::decode() const {
 
 const ProfileHandle& empty_profile_handle() {
   static const ProfileHandle kEmpty =
-      SnapshotArena::instance().encode_detached(Profile{});
+      ProfileHandle::adopt(SnapshotArena::instance().encode_blob(Profile{}));
   return kEmpty;
 }
 
@@ -177,10 +173,6 @@ ArenaIndex SnapshotArena::make_stamp(Cycle timestamp,
   return index;
 }
 
-ProfileHandle SnapshotArena::encode_detached(const Profile& profile) {
-  return ProfileHandle::adopt(encode_blob(profile));
-}
-
 void SnapshotArena::sweep_shard(Shard& shard) {
   for (auto it = shard.map.begin(); it != shard.map.end();) {
     const CompactProfile* record = blob_pool_.get(it->second);
@@ -198,29 +190,11 @@ void SnapshotArena::sweep_shard(Shard& shard) {
   shard.sweep_at = shard.map.size() < 32 ? 64 : shard.map.size() * 2;
 }
 
-ProfileHandle SnapshotArena::intern(const Profile& profile) {
-  const std::uint64_t version = profile.version();
-  Shard& shard = version_shards_[version % kShardCount];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (auto it = shard.map.find(version); it != shard.map.end()) {
-    ++shard.reused;
-    const CompactProfile* record = blob_pool_.get(it->second);
-    record->retain();
-    return ProfileHandle::adopt(it->second);
-  }
-  const ArenaIndex slot = encode_blob(profile);
-  blob_pool_.get(slot)->retain();  // the table's own reference
-  shard.map.emplace(version, slot);
-  ++shard.interned;
-  if (shard.map.size() >= shard.sweep_at) sweep_shard(shard);
-  return ProfileHandle::adopt(slot);
-}
-
 ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
   if (profile.version() == 0) return empty_profile_handle();
   // Encode first: the content key is the canonical encoded record, so a
   // hash hit can be verified byte-for-byte before sharing.
-  ProfileHandle fresh = encode_detached(profile);
+  ProfileHandle fresh = ProfileHandle::snapshot(profile);
   const CompactProfile* record = fresh.record();
   std::uint64_t key = 0xCBF29CE484222325ull;
   const std::uint32_t header[3] = {record->count_, record->liked_,
@@ -255,43 +229,30 @@ ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
 
 void SnapshotArena::advance_epoch() {
   const std::uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed);
-  {
-    Shard& shard = version_shards_[epoch % kShardCount];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    sweep_shard(shard);
-  }
-  {
-    Shard& shard = content_shards_[epoch % kShardCount];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    sweep_shard(shard);
-  }
+  Shard& shard = content_shards_[epoch % kShardCount];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  sweep_shard(shard);
 }
 
 void SnapshotArena::purge_dead() {
-  for (Shard* shards : {version_shards_, content_shards_}) {
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      Shard& shard = shards[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      sweep_shard(shard);
-    }
+  for (Shard& shard : content_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    sweep_shard(shard);
   }
 }
 
 SnapshotArena::Stats SnapshotArena::stats() const {
   Stats stats;
-  for (const Shard* shards : {version_shards_, content_shards_}) {
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      const Shard& shard = shards[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      stats.entries += shard.map.size();
-      for (const auto& [key, slot] : shard.map) {
-        (void)key;
-        if (blob_pool_.get(slot)->ref_count() > 1) ++stats.live;
-      }
-      stats.interned += shard.interned;
-      stats.reused += shard.reused;
-      stats.purged += shard.purged;
+  for (const Shard& shard : content_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    stats.entries += shard.map.size();
+    for (const auto& [key, slot] : shard.map) {
+      (void)key;
+      if (blob_pool_.get(slot)->ref_count() > 1) ++stats.live;
     }
+    stats.interned += shard.interned;
+    stats.reused += shard.reused;
+    stats.purged += shard.purged;
   }
   stats.blobs = blob_pool_.stats();
   stats.stamps = stamp_pool_.stats();

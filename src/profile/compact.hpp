@@ -4,11 +4,10 @@
 // A descriptor used to carry a deep `shared_ptr<const Profile>` snapshot:
 // ~230 bytes of SoA storage per copy (plus heap spill past 8 entries),
 // duplicated across every view and in-flight message that referenced the
-// same profile generation. PR 7 replaced that with interned delta-encoded
-// records behind pointer-sized intrusive handles; this header finishes the
-// diet by moving the records into chunked slab storage addressed by a
-// 32-bit index, so the handles themselves shrink pointer → u32 and a whole
-// descriptor packs into 8 bytes (net/message.hpp). Pieces:
+// same profile generation. Encoded records behind intrusive handles
+// replaced it; this header keeps the records in chunked slab storage
+// addressed by a 32-bit index, so a handle is a u32 and a whole descriptor
+// packs into 8 bytes (net/message.hpp). Pieces:
 //
 //  * `CompactProfile` — an immutable, lossless profile record laid out for
 //    scoring in place: the raw u64 item ids in an 8-byte-aligned buffer,
@@ -27,6 +26,11 @@
 //    heap (only oversized payloads spill).
 //  * `ProfileHandle` — the 4-byte value caches and cold paths hold (an
 //    intrusive refcount on the slab record, addressed by arena index).
+//    `ProfileHandle::snapshot` is the one way to snapshot a local profile:
+//    a fresh record, freed with its last holder. Sharing one generation
+//    across messages and cycles is the per-agent ProfileSnapshotCache's
+//    job (profile/snapshot.hpp), which holds the handle while the
+//    profile's version is unchanged.
 //  * `DescriptorRef` — the tagged 4-byte payload of a packed descriptor:
 //    either an index into the arena's stamp-record pool (a tiny refcounted
 //    {timestamp, profile} pair shared by every copy of one descriptor
@@ -34,14 +38,13 @@
 //    timestamp itself stored inline, costing no arena record at all.
 //  * `SnapshotArena` — the process-wide slab arena: chunked pools with
 //    per-chunk freelists (empty chunks are retired and their slabs freed —
-//    the "compaction" step), a version-keyed intern table so every local
-//    generation is encoded once, and a content-keyed intern table so the
-//    wire codec re-interns identical snapshots arriving repeatedly from
-//    other fragments. Dead interned generations are purged epoch-wise: the
-//    engine advances the epoch each cycle, sweeping one shard of each
-//    table, and inserts amortize a sweep so the tables stay bounded even
-//    without an engine. Un-interned records and stamp records free
-//    immediately when their last holder drops.
+//    the "compaction" step), plus a content-keyed intern table so the wire
+//    codec re-interns identical snapshots arriving repeatedly from other
+//    fragments. Dead interned records are purged epoch-wise: the engine
+//    advances the epoch each cycle, sweeping one shard of the table, and
+//    inserts amortize a sweep so the table stays bounded even without an
+//    engine. Every other record frees immediately when its last holder
+//    drops.
 #pragma once
 
 #include <atomic>
@@ -70,11 +73,6 @@ inline constexpr ArenaIndex kNullArenaIndex = 0xFFFFFFFFu;
 
 class CompactProfile {
  public:
-  // Encodes an immutable DETACHED record of `profile`'s current contents
-  // (no intern-table entry; freed when the last handle drops). Hot paths
-  // intern via ProfileHandle::snapshot / SnapshotArena instead.
-  static ProfileHandle encode(const Profile& profile);
-
   // In-place scoring view (ids, mask or doubles, norm, liked count): what
   // the hot paths hand the similarity kernels. Valid while the record is.
   ProfileView view() const;
@@ -129,8 +127,8 @@ class CompactProfile {
   }
 
   // Intrusive reference count: one count per live ProfileHandle (plus one
-  // per stamp record referencing this blob, plus one held by an intern
-  // table while the record is interned). Atomic because descriptors
+  // per stamp record referencing this blob, plus one held by the content
+  // table while the record is interned there). Atomic because descriptors
   // holding the same record are copied and dropped from concurrent shard
   // workers. The release slow path returns the slot to the arena.
   void retain() const { refs_.fetch_add(1, std::memory_order_relaxed); }
@@ -340,8 +338,10 @@ class ProfileHandle {
     return handle;
   }
 
-  // Interned snapshot of `profile`'s current contents (the replacement for
-  // make_shared<const Profile>(profile) everywhere descriptors are built).
+  // Snapshot of `profile`'s current contents: the shared empty handle for
+  // an empty (version 0) profile, otherwise a fresh record freed with its
+  // last holder. Callers that ship the same generation repeatedly keep the
+  // handle (ProfileSnapshotCache) rather than snapshotting again.
   static ProfileHandle snapshot(const Profile& profile);
 
   // In-place scoring view / by-value decode of the record (see
@@ -450,12 +450,6 @@ class SnapshotArena {
   // a guard check + load, not a cross-TU call.
   static SnapshotArena& instance();
 
-  // Returns a handle on the process-wide record for `profile`'s current
-  // version, encoding it on first sight. Version equality implies content
-  // equality (profile.hpp), so the record is shareable by construction.
-  // Thread-safe.
-  ProfileHandle intern(const Profile& profile);
-
   // Content-keyed intern for snapshots arriving over the wire: the
   // sender's version stamps are process-local and meaningless here, so
   // identical payloads re-arriving across fragment barriers must dedupe by
@@ -464,28 +458,24 @@ class SnapshotArena {
   // versions only key caches, never behavior. Thread-safe.
   ProfileHandle intern_by_content(const Profile& profile);
 
-  // Detached record: no intern-table entry, freed when the last reference
-  // drops (tests, the empty-profile singleton).
-  ProfileHandle encode_detached(const Profile& profile);
-
   // A stamp record for (timestamp, profile); retains the blob. Returns the
   // new record's index with its initial reference owned by the caller.
   ArenaIndex make_stamp(Cycle timestamp, const ProfileHandle& profile);
 
-  // Epoch purge: sweeps ONE shard of each intern table, dropping entries
+  // Epoch purge: sweeps ONE shard of the content table, dropping entries
   // whose record has no holder beyond the table's own reference, and
   // retiring slab chunks left empty. The engine calls this once per cycle,
-  // so dead snapshot generations are reclaimed within kShardCount cycles
-  // of their last holder vanishing, at O(shard) cost per cycle.
+  // so dead wire arrivals are reclaimed within kShardCount cycles of their
+  // last holder vanishing, at O(shard) cost per cycle.
   void advance_epoch();
 
   // Full sweep of every shard (tests and shutdown hygiene).
   void purge_dead();
 
   struct Stats {
-    std::size_t entries = 0;        // intern-table entries (both tables)
+    std::size_t entries = 0;        // content-table entries
     std::size_t live = 0;           // entries with a live outside holder
-    std::uint64_t interned = 0;     // records encoded via the tables
+    std::uint64_t interned = 0;     // records encoded via the table
     std::uint64_t reused = 0;       // intern hits on a live record
     std::uint64_t purged = 0;       // dead entries swept
     SlabPool<CompactProfile>::Stats blobs;
@@ -512,20 +502,21 @@ class SnapshotArena {
     }
   }
   void free_blob(const CompactProfile* record);
+  // Encodes a fresh blob record (pool slot + init); caller owns the ref.
+  ArenaIndex encode_blob(const Profile& profile);
 
  private:
   SnapshotArena() = default;
 
-  // Versions are drawn from one global counter, so version % kShardCount
-  // round-robins the shards; content keys are hashes.
+  // Content keys are hashes, so key % kShardCount spreads the shards.
   static constexpr std::size_t kShardCount = 64;
 
-  // A table owns one reference per entry; an entry whose record has
-  // ref_count() == 1 has no outside holder left and is swept. A version
-  // (or content key) cannot gain a new holder except through the interns
-  // (which take the shard mutex) or by copying an existing handle (none
-  // exist at count 1), so the sweep's release-and-erase under the mutex
-  // cannot race a revive.
+  // The table owns one reference per entry; an entry whose record has
+  // ref_count() == 1 has no outside holder left and is swept. A content
+  // key cannot gain a new holder except through intern_by_content (which
+  // takes the shard mutex) or by copying an existing handle (none exist at
+  // count 1), so the sweep's release-and-erase under the mutex cannot race
+  // a revive.
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, ArenaIndex> map;
@@ -537,8 +528,6 @@ class SnapshotArena {
     std::uint64_t purged = 0;
   };
 
-  // Encodes a fresh blob record (pool slot + init); caller owns the ref.
-  ArenaIndex encode_blob(const Profile& profile);
   // Drops every table-only entry of `shard` (caller holds shard.mu).
   void sweep_shard(Shard& shard);
   // release_stamp slow path: frees `rec` (whose count just hit zero).
@@ -546,7 +535,6 @@ class SnapshotArena {
 
   SlabPool<CompactProfile> blob_pool_;
   SlabPool<StampRecord> stamp_pool_;
-  Shard version_shards_[kShardCount];
   Shard content_shards_[kShardCount];
   std::atomic<std::uint64_t> epoch_{0};
 };

@@ -22,7 +22,7 @@
 //  * a content `version()` — a globally unique stamp bumped on every
 //    content change. Equal versions imply equal contents (copies inherit
 //    the stamp; empty profiles are normalized to version 0), which is what
-//    the descriptor snapshot cache and the snapshot intern table key on;
+//    the per-agent descriptor snapshot cache keys on;
 //  * an incrementally maintained `liked_count()` (exact integer math);
 //  * a lazily cached `norm()`, recomputed with the same left-to-right
 //    summation as a fresh scan so cached and fresh values are bit-equal

@@ -3,11 +3,14 @@
 namespace whatsup {
 
 DescriptorRef ProfileSnapshotCache::stamp(Cycle now, const Profile& profile) {
-  if (stamp_.is_null() || stamp_cycle_ != now ||
-      stamp_version_ != profile.version()) {
-    stamp_ = DescriptorRef::make(now, ProfileHandle::snapshot(profile));
+  if (blob_version_ != profile.version()) {
+    blob_ = ProfileHandle::snapshot(profile);
+    blob_version_ = profile.version();
+    stamp_ = nullptr;
+  }
+  if (stamp_.is_null() || stamp_cycle_ != now) {
+    stamp_ = DescriptorRef::make(now, blob_);
     stamp_cycle_ = now;
-    stamp_version_ = profile.version();
   }
   return stamp_;
 }

@@ -1,18 +1,20 @@
-// Per-cycle stamp cache for a node's outgoing self-descriptor — the memory
-// half of the gossip hot path.
+// Per-agent snapshot cache for a node's outgoing self-descriptor — the
+// memory half of the gossip hot path.
 //
-// Descriptors ship profiles as interned compact records behind a 4-byte
+// Descriptors ship profiles as compact records behind a 4-byte
 // `DescriptorRef` stamp (timestamp, snapshot) in the snapshot arena
-// (profile/compact.hpp). A node sending several gossip messages in one
-// cycle would otherwise mint one stamp record per message.
-// `ProfileSnapshotCache` keeps the last stamp and reuses it while both the
-// cycle and `Profile::version()` are unchanged (equal versions imply equal
-// contents, see profile.hpp). Each agent owns one and passes it to all of
-// its gossip protocols, so RPS and WUP messages of the same cycle share
-// one stamp; it is consulted only when a message goes out. On a miss it
-// interns through
-// `ProfileHandle::snapshot`, whose version-keyed table already shares each
-// profile generation across cycles; empty profiles share one static handle.
+// (profile/compact.hpp). A node ships each profile generation in every
+// gossip message until its next like or dislike, so encoding a snapshot
+// per message, or minting a stamp per message, would repeat the same work.
+// `ProfileSnapshotCache` owns the current generation: it holds a handle on
+// the record of the last `Profile::version()` it saw and re-encodes only
+// when that version changes (equal versions imply equal contents, see
+// profile.hpp). It keeps the last stamp too, and re-mints only that
+// 16-byte record when the cycle changes. Each agent owns one and passes it
+// to all of its gossip protocols, so RPS and WUP messages of the same
+// cycle share one stamp; it is consulted only when a message goes out.
+// A superseded generation's record frees as soon as the last descriptor
+// shipping it drops.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +27,15 @@ namespace whatsup {
 class ProfileSnapshotCache {
  public:
   // The (timestamp, snapshot) stamp record for a self-descriptor emitted
-  // at `now`: reused while both the profile version and the cycle are
-  // unchanged, so a node sending several gossip messages in one cycle
-  // shares ONE arena record across all of them.
+  // at `now`: one encode per profile version, one stamp record per
+  // (cycle, version), shared by every gossip message that carries it.
   DescriptorRef stamp(Cycle now, const Profile& profile);
 
  private:
+  ProfileHandle blob_;
+  std::uint64_t blob_version_ = ~std::uint64_t{0};
   DescriptorRef stamp_;
   Cycle stamp_cycle_ = kNoCycle;
-  std::uint64_t stamp_version_ = ~std::uint64_t{0};
 };
 
 }  // namespace whatsup

@@ -149,13 +149,6 @@ void Context::send(NodeId to, net::MsgType type, net::AckPayload payload) {
   send(std::move(m));
 }
 
-std::vector<net::Descriptor> Context::acquire_descriptor_buffer() {
-  // The shard is executed by exactly one worker per phase, so its pool
-  // needs no synchronization here.
-  return shard_ != nullptr ? shard_->descriptor_pool.acquire()
-                           : std::vector<net::Descriptor>{};
-}
-
 void Context::send(net::Message message) {
   message.seq = next_seq_++;
   if (shard_ != nullptr) {
@@ -472,20 +465,8 @@ void Engine::route_message(net::Message message) {
       obs::add(om.serialize_messages);
     }
   };
-  // A dropped message — uniform loss or a partition cut — is recorded and
-  // its payload buffer recycled (main thread, between phases — the
-  // destination shard's pool is quiescent). Outer destinations skip the
-  // recycle: their shards live on another fragment.
-  const auto drop = [&](net::Message&& m) {
-    traffic_.record_dropped(protocol);
-    if (auto* view = std::get_if<net::ViewPayload>(&m.payload)) {
-      if (fragments_ == 1 || owns(m.to)) {
-        shard_for(m.to).descriptor_pool.recycle(std::move(view->view));
-      }
-    }
-  };
   if (config_.network.loss_rate > 0.0 && mrng.bernoulli(config_.network.loss_rate)) {
-    drop(std::move(message));
+    traffic_.record_dropped(protocol);
     return;
   }
   // Regional partition episode (scenario engine): cross-region messages
@@ -497,7 +478,7 @@ void Engine::route_message(net::Message message) {
           (message.to < config_.network.partition_nodes)) {
     if (config_.network.partition_cross_loss >= 1.0 ||
         mrng.bernoulli(config_.network.partition_cross_loss)) {
-      drop(std::move(message));
+      traffic_.record_dropped(protocol);
       return;
     }
   }
@@ -509,7 +490,7 @@ void Engine::route_message(net::Message message) {
     const bool bad = link_bad(message.from, message.to);
     const double p = bad ? config_.network.burst.loss_bad : config_.network.burst.loss_good;
     if (p > 0.0 && mrng.bernoulli(p)) {
-      drop(std::move(message));
+      traffic_.record_dropped(protocol);
       return;
     }
   }
@@ -718,15 +699,6 @@ void Engine::deliver_shard(Shard& shard) {
     }
     i = j;
   }
-  // Harvest the payload storage of every message in the batch — processed,
-  // overflow-dropped, or addressed to an offline node alike — back into
-  // this shard's pool. The recycle clears each vector, releasing its
-  // descriptor snapshots at the same point the batch clear below used to.
-  for (net::Message& m : batch) {
-    if (auto* view = std::get_if<net::ViewPayload>(&m.payload)) {
-      shard.descriptor_pool.recycle(std::move(view->view));
-    }
-  }
   const std::size_t delivered = shard.delivery_batch.size();
   shard.delivery_batch.clear();
   trim_spare_capacity(shard.delivery_batch, delivered);
@@ -737,18 +709,6 @@ void Engine::deliver_shard(Shard& shard) {
     obs::add(om.delivered, delivered);
     obs::observe(om.shard_deliver, obs::now_ns() - obs_t0);
   }
-}
-
-Engine::PoolStats Engine::descriptor_pool_stats() const {
-  PoolStats total;
-  for (const auto& shard : shards_) {
-    const DescriptorBufferPool::Stats& s = shard->descriptor_pool.stats();
-    total.reused += s.reused;
-    total.fresh += s.fresh;
-    total.recycled += s.recycled;
-    total.available += shard->descriptor_pool.available();
-  }
-  return total;
 }
 
 Engine::MemoryStats Engine::memory_stats() const {
@@ -768,7 +728,6 @@ Engine::MemoryStats Engine::memory_stats() const {
     }
     total.outbox_bytes += shard->outbox.capacity() * sizeof(net::Message);
     for (const net::Message& m : shard->outbox) total.payload_bytes += payload_heap(m);
-    total.pool_bytes += shard->descriptor_pool.memory_bytes();
     total.scratch_bytes +=
         shard->delivery_batch.capacity() * sizeof(net::Message) +
         shard->delivery_order.capacity() * sizeof(std::uint32_t);
@@ -878,10 +837,10 @@ void Engine::run_cycle() {
   }
   obs::add(om.cycles);
   for (const CycleHook& hook : hooks_) hook(*this, now_);
-  // Epoch purge of the global snapshot arena: one intern-table shard per
-  // cycle, between phases (no workers are running), so dead profile
-  // generations are reclaimed — and emptied slab chunks compacted away —
-  // incrementally instead of accumulating for the whole run.
+  // Epoch purge of the global snapshot arena: one content-table shard per
+  // cycle, between phases (no workers are running), so dead wire arrivals
+  // are reclaimed — and emptied slab chunks compacted away — incrementally
+  // instead of accumulating for the whole run.
   SnapshotArena::instance().advance_epoch();
   ++now_;
 }

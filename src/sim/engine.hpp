@@ -97,12 +97,6 @@ class Context {
   void send(NodeId to, net::MsgType type, net::NewsPayload payload);
   void send(NodeId to, net::MsgType type, net::AckPayload payload);
 
-  // An empty descriptor vector for building a ViewPayload, drawn from this
-  // shard's free-list pool when possible (capacity recycled from earlier
-  // delivered messages); a fresh vector on main-thread contexts. Purely a
-  // memory optimization — never changes observable behavior.
-  std::vector<net::Descriptor> acquire_descriptor_buffer();
-
  private:
   void send(net::Message message);
 
@@ -241,16 +235,6 @@ class Engine : public ParallelExecutor {
   DisseminationObserver* observer() { return observer_; }
   void set_observer(DisseminationObserver* observer) { observer_ = observer; }
 
-  // Aggregated descriptor-buffer pool counters across all shards
-  // (observability for tests and the payload-memory benches).
-  struct PoolStats {
-    std::size_t reused = 0;
-    std::size_t fresh = 0;
-    std::size_t recycled = 0;
-    std::size_t available = 0;
-  };
-  PoolStats descriptor_pool_stats() const;
-
   // Resident footprint of the engine's message machinery, aggregated over
   // shards (observability for the memory-diet work; docs/perf.md "Memory
   // map"). Capacities, not sizes: this is what the process actually holds
@@ -259,12 +243,11 @@ class Engine : public ParallelExecutor {
     std::size_t mailbox_bytes = 0;   // ring buckets (envelope capacity)
     std::size_t payload_bytes = 0;   // descriptor vectors inside queued messages
     std::size_t outbox_bytes = 0;    // per-shard outbox capacity
-    std::size_t pool_bytes = 0;      // descriptor-pool free-list capacity
     std::size_t scratch_bytes = 0;   // delivery-batch scratch capacity
     std::size_t arena_bytes = 0;     // snapshot-arena slab storage (process-wide)
     std::size_t total() const {
-      return mailbox_bytes + payload_bytes + outbox_bytes + pool_bytes +
-             scratch_bytes + arena_bytes;
+      return mailbox_bytes + payload_bytes + outbox_bytes + scratch_bytes +
+             arena_bytes;
     }
   };
   MemoryStats memory_stats() const;

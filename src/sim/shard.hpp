@@ -53,75 +53,6 @@ struct PendingMessage {
   net::Message message;
 };
 
-// Free-list of descriptor vectors — the payload half of the per-shard
-// envelope slab. The envelope half (Message structs) already recycles
-// through the mailbox-ring buckets and the outbox, whose capacities
-// circulate across cycles; what used to round-trip through the global
-// allocator is the `ViewPayload::view` vector INSIDE each message: one
-// heap allocation per gossip message at the sender, one free at the
-// receiver's bucket clear. The pool closes that loop: deliver_shard
-// harvests the vectors of processed messages (capacity retained, elements
-// destroyed at exactly the point clear() used to destroy them) and
-// Context::acquire_descriptor_buffer hands them back to message builders.
-//
-// Buffers migrate between shards with the traffic that carries them
-// (acquired in the sender's shard, harvested in the receiver's), so the
-// per-shard free lists balance under symmetric gossip. No locking: a
-// shard's pool is only touched by the worker currently executing that
-// shard's phase, or by the engine thread between phases.
-class DescriptorBufferPool {
- public:
-  struct Stats {
-    std::size_t reused = 0;    // acquires served from the free list
-    std::size_t fresh = 0;     // acquires that fell through to the allocator
-    std::size_t recycled = 0;  // buffers harvested back into the free list
-  };
-
-  std::vector<net::Descriptor> acquire() {
-    if (free_.empty()) {
-      ++stats_.fresh;
-      return {};
-    }
-    ++stats_.reused;
-    std::vector<net::Descriptor> buf = std::move(free_.back());
-    free_.pop_back();
-    return buf;
-  }
-
-  void recycle(std::vector<net::Descriptor>&& buf) {
-    buf.clear();  // release descriptor snapshots now, keep the capacity
-    // Oversized buffers (rejoin replies, storm-grown views) would pin their
-    // burst capacity in the free list forever; let the allocator have them.
-    if (buf.capacity() == 0 || buf.capacity() > kMaxRetainedCapacity ||
-        free_.size() >= kMaxBuffers) {
-      return;
-    }
-    free_.push_back(std::move(buf));
-    ++stats_.recycled;
-  }
-
-  const Stats& stats() const { return stats_; }
-  std::size_t available() const { return free_.size(); }
-
-  // Retained free-list capacity in bytes (memory observability).
-  std::size_t memory_bytes() const {
-    std::size_t total = free_.capacity() * sizeof(std::vector<net::Descriptor>);
-    for (const auto& buf : free_) total += buf.capacity() * sizeof(net::Descriptor);
-    return total;
-  }
-
- private:
-  // Bounds pool memory per shard; beyond these, buffers fall back to the
-  // allocator exactly as before the pool existed. Gossip views top out at
-  // `view_size` (20 by default) descriptors plus the sender, so 64 leaves
-  // generous headroom for configured-up views without retaining burst
-  // allocations.
-  static constexpr std::size_t kMaxBuffers = 256;
-  static constexpr std::size_t kMaxRetainedCapacity = 64;
-  std::vector<std::vector<net::Descriptor>> free_;
-  Stats stats_;
-};
-
 // Releases the spare capacity of an empty staging vector once it dwarfs
 // the traffic it actually carried. Mailbox buckets, delivery scratch and
 // outboxes all converge to the largest burst they ever saw (capacities
@@ -164,10 +95,6 @@ struct Shard {
   // of 56-byte Messages, whose merge buffer added a batch-sized transient
   // allocation exactly at the storm-cycle RSS peak.
   std::vector<std::uint32_t> delivery_order;
-
-  // Recycles ViewPayload descriptor storage between this shard's agents
-  // and the messages delivered to them (see class comment).
-  DescriptorBufferPool descriptor_pool;
 
   std::vector<net::Message>& bucket(Cycle cycle) {
     return mailbox[static_cast<std::size_t>(cycle) % mailbox.size()];

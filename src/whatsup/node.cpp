@@ -145,11 +145,10 @@ void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
                                          const net::ViewPayload& payload) {
   if (payload.sender.node == kNoNode || payload.sender.node == self_) return;
   // Hand the joiner our full RPS view plus our own fresh descriptor
-  // (rejoin is a cold path: an uncached make_descriptor intern is fine).
+  // (rejoin is a cold path: an uncached make_descriptor encode is fine).
   net::ViewPayload reply;
   reply.sender = net::make_descriptor(self_, ctx.now(), disclosed(ctx.now()));
-  reply.view = ctx.acquire_descriptor_buffer();
-  for (const net::Descriptor& d : rps_.view().entries()) reply.view.push_back(d);
+  reply.view = rps_.view().entries();
   ctx.send(payload.sender.node, net::MsgType::kRejoinReply, std::move(reply));
   // Absorb the joiner so gossip re-spreads its descriptor quickly.
   std::vector<net::Descriptor> joiner;

@@ -1,6 +1,6 @@
 // Property tests for the compact-profile storage layer: the varint/delta
 // codec underneath its timestamp lanes, bit-exact encode/decode round
-// trips, in-place scoring views, and the global snapshot intern table
+// trips, in-place scoring views, and the arena's content intern table
 // (refcounts, reuse, epoch purge, cross-thread isolation).
 //
 // The contract that everything else leans on: a Profile decoded from its
@@ -167,7 +167,7 @@ TEST(CompactProfile, RoundTripIsBitIdenticalToCopy) {
   for (int trial = 0; trial < 100; ++trial) {
     const bool binary = rng.bernoulli(0.5);
     const Profile p = random_profile(rng, rng.index(60), 200, binary);
-    const auto compact = CompactProfile::encode(p);
+    const auto compact = ProfileHandle::snapshot(p);
     expect_bit_identical(p, compact->decode());
     // Header-only reads agree without decoding.
     EXPECT_EQ(compact->size(), p.size());
@@ -186,8 +186,8 @@ TEST(CompactProfile, BinaryScoresPackToBitmask) {
     binary.set(i, 0, i % 2 == 0 ? 1.0 : 0.0);
     real.set(i, 0, 0.25 + i * 1e-3);
   }
-  const auto cb = CompactProfile::encode(binary);
-  const auto cr = CompactProfile::encode(real);
+  const auto cb = ProfileHandle::snapshot(binary);
+  const auto cr = ProfileHandle::snapshot(real);
   EXPECT_LT(cb->encoded_bytes() + 64 * 7, cr->encoded_bytes());
   expect_bit_identical(binary, cb->decode());
   expect_bit_identical(real, cr->decode());
@@ -199,7 +199,7 @@ TEST(CompactProfile, ViewReadsRawIdsAndScoreLanesInPlace) {
   Rng rng(9);
   for (const bool binary : {true, false}) {
     const Profile p = random_profile(rng, 37, 1000, binary);
-    const auto compact = CompactProfile::encode(p);
+    const auto compact = ProfileHandle::snapshot(p);
     const ProfileView v = compact->view();
     ASSERT_EQ(v.size, p.size());
     EXPECT_EQ(v.score_mask != nullptr, binary);
@@ -221,7 +221,7 @@ TEST(CompactProfile, RawIdsAreNoLargerThanDeltaCodedHashes) {
   Profile p;
   for (int i = 0; i < 50; ++i) p.set(rng.next_u64(), i, 1.0);
   std::vector<std::uint64_t> ids(p.ids().begin(), p.ids().end());
-  const auto compact = CompactProfile::encode(p);
+  const auto compact = ProfileHandle::snapshot(p);
   EXPECT_LE(p.size() * sizeof(ItemId), delta_encoded_size(ids.data(), ids.size()));
   EXPECT_EQ(compact->decode(), p);
 }
@@ -231,7 +231,7 @@ TEST(CompactProfile, NonFiniteAndNegativeScoresSurvive) {
   p.set(1, 0, -0.0);
   p.set(2, 0, std::numeric_limits<double>::infinity());
   p.set(3, 0, std::numeric_limits<double>::denorm_min());
-  const Profile decoded = CompactProfile::encode(p)->decode();
+  const Profile decoded = ProfileHandle::snapshot(p)->decode();
   for (std::size_t i = 0; i < p.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.entry(i).score),
               std::bit_cast<std::uint64_t>(p.entry(i).score));
@@ -242,7 +242,7 @@ TEST(CompactProfile, NegativeTimestampsSurvive) {
   Profile p;
   p.set(5, -3, 1.0);
   p.set(9, 40, 0.0);
-  expect_bit_identical(p, CompactProfile::encode(p)->decode());
+  expect_bit_identical(p, ProfileHandle::snapshot(p)->decode());
 }
 
 // ---- ProfileHandle ----------------------------------------------------------
@@ -302,59 +302,51 @@ TEST(ProfileHandle, SnapshotIsImmutableUnderSourceMutation) {
 
 // ---- SnapshotArena --------------------------------------------------------
 
-TEST(SnapshotArena, SameVersionSharesOneRecord) {
-  Profile p;
-  p.set(1, 0, 1.0);
-  const ProfileHandle a = ProfileHandle::snapshot(p);
-  const ProfileHandle b = ProfileHandle::snapshot(p);
-  EXPECT_EQ(a.record(), b.record());
-  EXPECT_GE(a.use_count(), 2);
-  p.set(2, 0, 1.0);  // content change → new version → new record
-  const ProfileHandle c = ProfileHandle::snapshot(p);
-  EXPECT_NE(c.record(), a.record());
-}
-
 TEST(SnapshotArena, PurgeDropsDeadEntriesKeepsLive) {
-  auto& intern = SnapshotArena::instance();
+  auto& arena = SnapshotArena::instance();
   Profile keep, drop;
   keep.set(1, 0, 1.0);
   drop.set(2, 0, 1.0);
-  ProfileHandle live = ProfileHandle::snapshot(keep);
+  const std::uint64_t purged_before = arena.stats().purged;
+  const ProfileHandle live = arena.intern_by_content(keep);
   {
-    const ProfileHandle dead = ProfileHandle::snapshot(drop);
+    const ProfileHandle dead = arena.intern_by_content(drop);
     EXPECT_TRUE(static_cast<bool>(dead));
-  }  // `drop`'s record now has zero strong refs; only the weak entry remains
-  intern.purge_dead();
-  const auto stats = intern.stats();
+  }  // `drop`'s record is now held only by its table entry
+  arena.purge_dead();
+  const auto stats = arena.stats();
   EXPECT_EQ(stats.entries, stats.live);
-  // The live version must still intern to the SAME record after a purge.
-  const ProfileHandle again = ProfileHandle::snapshot(keep);
+  EXPECT_GT(stats.purged, purged_before);
+  // The live content must still intern to the SAME record after a purge.
+  const ProfileHandle again = arena.intern_by_content(keep);
   EXPECT_EQ(again.record(), live.record());
-  // The dead version re-interns to a fresh record (old one really was freed).
-  const ProfileHandle fresh = ProfileHandle::snapshot(drop);
+  // The dead content re-interns to a fresh record (old one really was freed).
+  const ProfileHandle fresh = arena.intern_by_content(drop);
   EXPECT_TRUE(static_cast<bool>(fresh));
+  EXPECT_EQ(fresh.decode(), drop);
 }
 
 TEST(SnapshotArena, EpochAdvanceEventuallySweepsEveryShard) {
-  auto& intern = SnapshotArena::instance();
-  // Create dead entries across many shards (versions are sequential, so
-  // consecutive snapshots round-robin the shard index).
+  auto& arena = SnapshotArena::instance();
+  // Dead entries across many shards: content keys are hashes, so 256
+  // distinct contents spread over the table's shards.
   for (int i = 0; i < 256; ++i) {
     Profile p;
     p.set(static_cast<ItemId>(i + 1), 0, 1.0);
-    const ProfileHandle h = ProfileHandle::snapshot(p);
+    const ProfileHandle h = arena.intern_by_content(p);
   }
   // One epoch advance sweeps one shard; a full lap covers all of them.
-  for (int i = 0; i < 64; ++i) intern.advance_epoch();
-  const auto stats = intern.stats();
+  for (int i = 0; i < 64; ++i) arena.advance_epoch();
+  const auto stats = arena.stats();
   EXPECT_EQ(stats.entries, stats.live);
   EXPECT_GT(stats.purged, 0u);
 }
 
 TEST(SnapshotArena, ThreadedInternAndInPlaceScoringStayIsolated) {
-  // Exercised under TSan in CI: threads concurrently intern and score the
-  // same records in place (the shard workers' hot path), which must
-  // neither race nor differ from scoring the decoded copies.
+  // Exercised under TSan in CI: threads concurrently intern (by content,
+  // as the wire codec does) and score the same records in place (the
+  // shard workers' hot path), which must neither race nor differ from
+  // scoring the decoded copies.
   constexpr int kThreads = 4;
   constexpr int kProfiles = 16;
   constexpr int kRounds = 200;
@@ -366,8 +358,9 @@ TEST(SnapshotArena, ThreadedInternAndInPlaceScoringStayIsolated) {
     profiles.push_back(random_profile(seed_rng, 10, 64, i % 2 == 0));
     profiles.back().norm();  // shared across threads: warm the lazy norm
   }
+  auto& arena = SnapshotArena::instance();
   std::vector<ProfileHandle> handles;
-  for (const Profile& p : profiles) handles.push_back(ProfileHandle::snapshot(p));
+  for (const Profile& p : profiles) handles.push_back(arena.intern_by_content(p));
   // Expected scores of every (subject, candidate, metric), from the
   // decoded copies on this thread.
   std::vector<double> expected;
@@ -385,9 +378,9 @@ TEST(SnapshotArena, ThreadedInternAndInPlaceScoringStayIsolated) {
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
         const std::size_t s = rng.index(kProfiles);
-        // Interning the same version from many threads must converge on the
-        // shared record.
-        const ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
+        // Interning the same contents from many threads must converge on
+        // the shared record.
+        const ProfileHandle h = arena.intern_by_content(profiles[k]);
         if (h.record() != handles[k].record()) ++failures[t];
         for (std::size_t m = 0; m < std::size(kMetrics); ++m) {
           const double score = similarity(kMetrics[m], profiles[s], h.view());
@@ -403,8 +396,9 @@ TEST(SnapshotArena, ThreadedInternAndInPlaceScoringStayIsolated) {
 
 TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
   // The hostile schedule for the intrusive refcount: worker threads churn
-  // handles (intern, copy, drop — each drop may leave the table's reference
-  // as the last one) while a sweeper thread continuously purges. TSan runs
+  // content-interned handles (intern, copy, drop — each drop may leave the
+  // table's reference as the last one) while a sweeper thread
+  // continuously purges. TSan runs
   // this in CI; single-threaded it still pins the invariant that a record
   // can never be reclaimed while an outside handle holds it.
   constexpr int kThreads = 4;
@@ -414,6 +408,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
   Rng seed_rng(78);
   for (int i = 0; i < kProfiles; ++i) {
     profiles.push_back(random_profile(seed_rng, 10, 64, false));
+    profiles.back().norm();  // shared across threads: warm the lazy norm
   }
 
   auto& intern = SnapshotArena::instance();
@@ -432,7 +427,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
       Rng rng(2000 + t);
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
-        ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
+        ProfileHandle h = intern.intern_by_content(profiles[k]);
         ProfileHandle copy = h;        // retain
         ProfileHandle moved = std::move(h);  // steal
         h = copy;                      // re-retain through assignment
@@ -456,22 +451,22 @@ TEST(SnapshotArena, ResidentBytesTracksEncodedPayload) {
   Profile small, large;
   small.set(1, 0, 1.0);
   for (int i = 1; i <= 300; ++i) large.set(i * 7, i, 0.5 + i * 1e-4);
-  const auto cs = CompactProfile::encode(small);
-  const auto cl = CompactProfile::encode(large);
+  const auto cs = ProfileHandle::snapshot(small);
+  const auto cl = ProfileHandle::snapshot(large);
   EXPECT_GE(cs->resident_bytes(), sizeof(CompactProfile));
   EXPECT_GT(cl->resident_bytes(), cl->encoded_bytes());
   EXPECT_GT(cl->encoded_bytes(), cs->encoded_bytes());
 }
 
 TEST(SnapshotArena, FreedSlotsAreRecycled) {
-  // Encode-drop in a loop: the blob pool must hand back freed indices
-  // instead of growing unboundedly (the detached records never touch the
-  // intern tables, so their lifetime is exactly the handle's).
+  // Snapshot-drop in a loop: the blob pool must hand back freed indices
+  // instead of growing unboundedly (snapshots never touch the intern
+  // table, so their lifetime is exactly the handle's).
   Profile p;
   p.set(1, 0, 1.0);
   const auto before = SnapshotArena::instance().stats();
   for (int i = 0; i < 3 * 4096; ++i) {
-    const ProfileHandle h = CompactProfile::encode(p);
+    const ProfileHandle h = ProfileHandle::snapshot(p);
     EXPECT_TRUE(static_cast<bool>(h));
   }
   const auto after = SnapshotArena::instance().stats();
@@ -486,7 +481,7 @@ TEST(SnapshotArena, CompactionRetiresEmptyChunksKeepsLiveAddressable) {
   // Chunk retirement (the compaction step) must free the emptied slabs
   // while every surviving index still dereferences to intact contents.
   Rng rng(91);
-  constexpr int kRecords = 3 * 4096;  // ~3 chunks of detached blobs
+  constexpr int kRecords = 3 * 4096;  // ~3 chunks of snapshot blobs
   std::vector<Profile> originals;
   std::vector<ProfileHandle> survivors;
   {
@@ -495,7 +490,7 @@ TEST(SnapshotArena, CompactionRetiresEmptyChunksKeepsLiveAddressable) {
     for (int i = 0; i < kRecords; ++i) {
       Profile p;
       p.set(static_cast<ItemId>(i % 97 + 1), static_cast<Cycle>(i % 13), 1.0);
-      all.push_back(CompactProfile::encode(p));
+      all.push_back(ProfileHandle::snapshot(p));
       // Survivors cluster in the FIRST chunk's index range, so the later
       // chunks die whole and must actually be retired.
       if (i < 2048 && i % 256 == 0) {

@@ -169,6 +169,34 @@ TEST(SnapshotCache, StampReusedPerCycleAndVersion) {
             empty_profile_handle().record());
 }
 
+TEST(SnapshotCache, OwnsOneBlobPerVersionFreedWithItsLastDescriptor) {
+  // The cache, not an arena table, owns each profile generation: one blob
+  // per version however many cycles ship it, and a superseded blob's slot
+  // returns to the arena the moment its last descriptor drops (no
+  // purge_dead, no epoch advance).
+  const SnapshotArena& arena = SnapshotArena::instance();
+  ProfileSnapshotCache cache;
+  Profile p;
+  p.set(1, 0, 1.0);
+  const std::size_t blobs = arena.stats().blobs.live;
+
+  std::vector<DescriptorRef> shipped;
+  for (Cycle c = 0; c < 5; ++c) shipped.push_back(cache.stamp(c, p));
+  EXPECT_EQ(arena.stats().blobs.live, blobs + 1);
+  for (const DescriptorRef& d : shipped) {
+    EXPECT_EQ(d.profile().record(), shipped.front().profile().record());
+  }
+
+  // A like: the cache encodes the new generation and lets go of the old
+  // one, which lives on only through the descriptors already shipped.
+  p.set(2, 0, 1.0);
+  const DescriptorRef current = cache.stamp(5, p);
+  EXPECT_EQ(arena.stats().blobs.live, blobs + 2);
+  shipped.clear();
+  EXPECT_EQ(arena.stats().blobs.live, blobs + 1);
+  EXPECT_EQ(current.profile().decode(), p);
+}
+
 TEST(ObfuscationCache, MatchesDirectObfuscation) {
   Rng rng(21);
   ObfuscationConfig config;

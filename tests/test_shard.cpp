@@ -276,54 +276,6 @@ TEST(RandomActive, ContextPeerDrawExcludesSelfAndUsesNodeStream) {
   }
 }
 
-TEST(DescriptorBufferPool, AcquireRecyclesCapacityAndTracksStats) {
-  DescriptorBufferPool pool;
-  std::vector<net::Descriptor> fresh = pool.acquire();
-  EXPECT_EQ(pool.stats().fresh, 1u);
-  fresh.reserve(32);
-  fresh.push_back(net::Descriptor{1, 0, nullptr});
-  pool.recycle(std::move(fresh));
-  EXPECT_EQ(pool.stats().recycled, 1u);
-  EXPECT_EQ(pool.available(), 1u);
-
-  std::vector<net::Descriptor> reused = pool.acquire();
-  EXPECT_EQ(pool.stats().reused, 1u);
-  EXPECT_TRUE(reused.empty());          // elements released...
-  EXPECT_GE(reused.capacity(), 32u);    // ...capacity retained
-  // Capacity-less buffers are not worth keeping.
-  pool.recycle(std::vector<net::Descriptor>{});
-  EXPECT_EQ(pool.available(), 0u);
-}
-
-// A gossiping agent whose payload buffers should start cycling through the
-// shard pools once messages flow: sender acquires, receiver harvests.
-class GossipingAgent : public Agent {
- public:
-  void on_cycle(Context& ctx) override {
-    net::ViewPayload payload;
-    payload.sender = net::Descriptor{ctx.self(), ctx.now(), nullptr};
-    payload.view = ctx.acquire_descriptor_buffer();
-    payload.view.push_back(net::Descriptor{ctx.self(), ctx.now(), nullptr});
-    const NodeId peer = ctx.random_active_peer();
-    if (peer != kNoNode) ctx.send(peer, net::MsgType::kRpsRequest, std::move(payload));
-  }
-  void on_message(Context&, const net::Message&) override {}
-  void publish(Context&, ItemIdx, ItemId) override {}
-};
-
-TEST(DescriptorBufferPool, EngineRecyclesPayloadBuffersAcrossCycles) {
-  Engine::Config config;
-  config.seed = 21;
-  Engine engine(config);
-  for (int i = 0; i < 8; ++i) engine.add_agent(std::make_unique<GossipingAgent>());
-  engine.run_cycles(10);
-  const Engine::PoolStats stats = engine.descriptor_pool_stats();
-  EXPECT_GT(stats.recycled, 0u);  // delivered payload storage harvested
-  EXPECT_GT(stats.reused, 0u);    // and handed back to later sends
-  // Steady state: far fewer allocator round-trips than messages sent.
-  EXPECT_LT(stats.fresh, 8u * 10u / 2u);
-}
-
 TEST(RandomActive, DrawActiveExcludingBothIds) {
   ProbeFixture fx({}, 5);
   Rng rng(77);

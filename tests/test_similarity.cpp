@@ -220,7 +220,7 @@ TEST(InPlaceScoring, BitIdenticalToDecodedForEveryMetricAndSize) {
           const ItemId universe = 2 * std::max<std::size_t>({cand_size, subj_size, 4});
           const Profile subject = random_profile(rng, subj_size, universe, rng.bernoulli(0.5));
           const Profile candidate = random_profile(rng, cand_size, universe, binary);
-          const ProfileHandle h = CompactProfile::encode(candidate);
+          const ProfileHandle h = ProfileHandle::snapshot(candidate);
           ASSERT_EQ(h.view().score_mask != nullptr, binary || cand_size == 0);
           expect_in_place_equals_decoded(subject, h);
         }
@@ -237,14 +237,14 @@ TEST(InPlaceScoring, InlineRecordsScoreLikeDecoded) {
   for (const bool binary : {true, false}) {
     for (const std::size_t size : {std::size_t{1}, std::size_t{2}}) {
       const Profile candidate = random_profile(rng, size, 6, binary);
-      const ProfileHandle h = CompactProfile::encode(candidate);
+      const ProfileHandle h = ProfileHandle::snapshot(candidate);
       if (binary) EXPECT_EQ(h->resident_bytes(), sizeof(CompactProfile));
       expect_in_place_equals_decoded(subject, h);
     }
   }
   Profile one;
   one.set(3, 0, 1.0);
-  EXPECT_EQ(CompactProfile::encode(one)->resident_bytes(), sizeof(CompactProfile));
+  EXPECT_EQ(ProfileHandle::snapshot(one)->resident_bytes(), sizeof(CompactProfile));
 }
 
 TEST(InPlaceScoring, NullAndEmptySnapshotsScoreLikeEmptyProfiles) {
